@@ -16,7 +16,7 @@
 //! their exact sum (`docs/simulation.md` § "Toggle accounting").
 
 use hwlib::{ports, HwLibrary};
-use netlist::compiled::{CompiledSim, EvalPolicy, MAX_TOTAL_LANES};
+use netlist::compiled::{CompiledSim, EvalMode, EvalPolicy, MAX_TOTAL_LANES};
 use netlist::{Builder, NetId, Netlist};
 use riscv_emu::{RvfiRecord, RvfiTrace, SparseMemory};
 use riscv_isa::semantics::Memory as _;
@@ -215,6 +215,14 @@ impl GateLevelCpu {
     /// threads is a few atomics per settle, not a thread spawn.
     pub fn set_eval_policy(&mut self, policy: EvalPolicy) {
         self.sim.set_eval_policy(policy);
+    }
+
+    /// Selects how the core simulation sweeps its op stream
+    /// ([`EvalMode`]). Like the policy, purely a performance choice:
+    /// architectural state, cycle counts, and exact toggle counts are
+    /// bit-identical in every mode.
+    pub fn set_eval_mode(&mut self, mode: EvalMode) {
+        self.sim.set_eval_mode(mode);
     }
 
     /// The current PC (settles the netlist to read the flops).

@@ -21,34 +21,35 @@
 //! # Event-driven evaluation
 //!
 //! By default ([`EvalMode::Auto`]) `eval` is *activity-gated*: the
-//! simulator tracks which input/FF words were dirtied since the last
-//! settle and which nets changed a destination word during the current
-//! settle (the `diff != 0` toggle test computes this for free), and skips
-//! work at two granularities — a whole level when none of its dirt
-//! sources (fan-in levels plus the input-fed/FF-fed sources, recorded at
-//! compile time in [`Program::level_deps`]) changed, and a single op when
-//! none of its operand nets changed this settle. Skipping is bit-exact:
-//! skipped work would recompute exactly the values it already holds (and
-//! accumulate zero toggles), so results and per-net toggle counts are
-//! identical to a full sweep in every mode. When the dirty fraction is
-//! high the evaluator falls back to plain full sweeps for a while so
-//! dense stimuli never pay the gating overhead; see `docs/simulation.md`
-//! § "Event-driven evaluation".
+//! simulator tracks whether any input/FF word was dirtied since the last
+//! settle and keeps one dirty-op bitset over op indices. Level 0 runs
+//! whole when inputs or FFs are dirty; every op whose destination word
+//! changes (the `diff != 0` toggle test computes this for free) marks its
+//! readers in the bitset, using the program's fanout map
+//! ([`Fanout::readers`]). Ops are stored level-major and a reader always
+//! sits at a higher index than the ops it reads, so one forward
+//! pop-lowest-bit pass over the bitset runs every dirty op exactly once,
+//! in a valid order, and leaves the bitset empty. Skipping is bit-exact:
+//! an op none of whose operands changed would recompute exactly the value
+//! it already holds (and accumulate zero toggles), so results and per-net
+//! toggle counts are identical to a full sweep in every mode. When the
+//! dirty fraction is high the evaluator falls back to plain full sweeps
+//! for a while so dense stimuli never pay the worklist overhead; see
+//! `docs/simulation.md` § "Event-driven evaluation".
 //!
 //! # Parallel level evaluation
 //!
 //! [`EvalPolicy`] adds a third, intra-netlist parallel axis on top of the
 //! 64 stimulus lanes and the shard threads: with
 //! [`CompiledSim::par_levels`]`(n)` each sufficiently wide level's op
-//! range is split into contiguous chunks evaluated by `n` worker threads,
-//! with barrier edges ordering cross-thread reads. Every op writes a
-//! distinct destination net, so the per-chunk value/toggle/change-stamp
-//! writes are disjoint and the post-barrier merge is exact by
-//! construction — values **and** per-net toggle counts stay bit-identical
-//! to the sequential sweep in every [`EvalMode`] (clean chunks skip
-//! per-thread in the event-driven path, and the dense-fallback heuristic
-//! aggregates ops-executed across threads). See `docs/simulation.md`
-//! § "Parallel level evaluation".
+//! range of a full sweep is split into contiguous chunks evaluated by `n`
+//! worker threads, with barrier edges ordering cross-thread reads. Every
+//! op writes a distinct destination net, so the per-chunk value/toggle
+//! writes are disjoint and the merge is exact by construction — values
+//! **and** per-net toggle counts stay bit-identical to the sequential
+//! sweep. Event-driven settles always run the sequential worklist, so
+//! they are bit-identical (stats included) for every thread count. See
+//! `docs/simulation.md` § "Parallel level evaluation".
 //!
 //! Parallel settles run on the process-wide persistent
 //! [`crate::pool::WorkerPool`] by default (acquired lazily by
@@ -60,11 +61,10 @@
 //! issued from inside another pool job) and produce bit-identical
 //! results.
 
-use crate::level::{par_chunk, OpCode, Program};
+use crate::level::{par_chunk, Fanout, OpCode, Program};
 use crate::pool::{self, SpinBarrier, WorkerPool};
 use crate::sim::{port_bit, EvalStats, SimBackend};
 use crate::{Gate, NetId, Netlist};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Stimulus lanes per value word (bits of one `u64`). Historically also
@@ -117,15 +117,15 @@ fn block_lane_masks(lanes: usize) -> Vec<u64> {
 /// work a settle performs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Event-driven with a dense-stimulus fallback: settles run
-    /// level-skipping, but when a settle executes nearly every level the
-    /// next [`AUTO_DENSE_BACKOFF`] settles use plain full sweeps before
-    /// probing the event-driven path again.
+    /// Event-driven with a dense-stimulus fallback: settles run the
+    /// dirty-op worklist, but when a settle executes more than ⅞ of the
+    /// scheduled ops the next [`AUTO_DENSE_BACKOFF`] settles use plain
+    /// full sweeps before probing the event-driven path again.
     #[default]
     Auto,
     /// Always sweep every op (the pre-event-driven behavior).
     FullSweep,
-    /// Always run the level-skipping evaluator (no dense fallback).
+    /// Always run the dirty-op worklist evaluator (no dense fallback).
     EventDriven,
     /// Full sweeps through natively emitted code ([`crate::jit`]) when
     /// codegen is available for this host, program, and lane width —
@@ -152,7 +152,9 @@ pub const PAR_LEVEL_MIN_OPS: usize = 256;
 
 /// Intra-settle parallelism policy for [`CompiledSim::eval`]: how many
 /// scoped worker threads split each level's op range into contiguous
-/// chunks, and how wide a level must be to be worth splitting.
+/// chunks, and how wide a level must be to be worth splitting. Only full
+/// sweeps split; event-driven settles run the sequential worklist under
+/// every policy.
 ///
 /// Purely a performance knob — settled values, FF state, and exact
 /// per-net toggle counts are bit-identical for every `threads` value in
@@ -260,17 +262,13 @@ pub struct CompiledSim {
     /// True when `step`/`set_ff*` left a stored FF word different from the
     /// published one — level 0's `DffOut` ops may publish new values.
     ffs_dirty: bool,
-    /// Scratch bitset (stride `prog.dep_stride`): dirt sources (levels +
-    /// the input-fed/FF-fed bits) that changed a destination word during
-    /// the current settle.
-    changed_levels: Vec<u64>,
-    /// Per-net change stamps: `changed_stamp[net] == settle_id` iff the
-    /// net's word changed during the current settle. Stamps avoid an
-    /// O(nets) clear per settle; a wrapped stale stamp can only cause a
-    /// spurious (exact, value-preserving) re-execution.
-    changed_stamp: Vec<u32>,
-    /// Current settle's stamp (incremented by every `eval`).
-    settle_id: u32,
+    /// The program's fanout map, built at construction and shared with
+    /// clones; drives the event-driven worklist.
+    fanout: Arc<Fanout>,
+    /// Dirty-op bitset (bit `i % 64` of word `i / 64` = op `i`): ops an
+    /// operand change has scheduled during the current event-driven
+    /// settle. Empty between settles — the worklist pass drains it.
+    dirty: Vec<u64>,
     /// Remaining full-sweep settles before [`EvalMode::Auto`] re-probes
     /// the event-driven path.
     dense_backoff: u32,
@@ -312,10 +310,10 @@ pub struct CompiledSim {
 /// must preserve:
 ///
 /// 1. **Disjoint writes.** Each scheduled op writes exactly one
-///    destination net (`values[dst]`, `toggles[dst]`, `stamp[dst]`), each
-///    net is computed by exactly one op, and the chunks handed to the
-///    workers partition a level's op range — so no two threads ever write
-///    the same index during one level.
+///    destination net (`values[dst]`, `toggles[dst]`), each net is
+///    computed by exactly one op, and the chunks handed to the workers
+///    partition a level's op range — so no two threads ever write the
+///    same index during one level.
 /// 2. **Reads see only earlier levels.** An op's operand nets live in
 ///    strictly earlier levels (ASAP levelization), so within a level no
 ///    chunk reads an index any chunk writes.
@@ -325,7 +323,6 @@ pub struct CompiledSim {
 struct NetArrays {
     values: *mut u64,
     toggles: *mut u64,
-    stamp: *mut u32,
 }
 
 // SAFETY: see the struct-level contract — all concurrent access through
@@ -354,8 +351,7 @@ macro_rules! dispatch_lane_words {
     };
 }
 
-/// Executes ops `range` of the stream unconditionally; returns true when
-/// any destination word changed on an active lane. Dispatches to a body
+/// Executes ops `range` of the stream unconditionally. Dispatches to a body
 /// monomorphized per lane-block word count (the `masks` slice length).
 ///
 /// # Safety
@@ -371,7 +367,7 @@ unsafe fn exec_chunk_full(
     ffs: &[u64],
     masks: &[u64],
     range: std::ops::Range<usize>,
-) -> bool {
+) {
     dispatch_lane_words!(
         masks.len(),
         exec_chunk_full_impl(prog, arrays, inputs, ffs, masks, range)
@@ -397,7 +393,7 @@ unsafe fn exec_chunk_full_impl<const K: usize>(
     ffs: &[u64],
     masks: &[u64],
     range: std::ops::Range<usize>,
-) -> bool {
+) {
     let n = range.len();
     let ops = &prog.opcodes[range.clone()][..n];
     let pa = &prog.a[range.clone()][..n];
@@ -409,7 +405,6 @@ unsafe fn exec_chunk_full_impl<const K: usize>(
     // dies at inlining), which would force a reload per op.
     let masks: [u64; K] = masks[..K].try_into().unwrap();
     let values = arrays.values;
-    let mut changed = false;
     for i in 0..n {
         let a = pa[i] as usize * K;
         let b = pb[i] as usize * K;
@@ -471,208 +466,147 @@ unsafe fn exec_chunk_full_impl<const K: usize>(
         }
         if any != 0 {
             *arrays.toggles.add(pd[i] as usize) += toggled;
-            changed = true;
         }
     }
-    changed
 }
 
-/// Executes a chunk of level 0 — exactly the Input/DffOut ops — stamping
-/// changed nets and reporting which of the two external dirt sources
-/// actually changed a published word: `(input-fed changed, FF-fed
-/// changed)`.
-///
-/// # Safety
-///
-/// Same contract as [`exec_chunk_full`]; additionally `cur` must be the
-/// current settle's stamp.
-unsafe fn exec_chunk_level0(
+/// Publishes `v` into op `i`'s destination block; on an active-lane
+/// change, counts the toggles and marks the op's readers in `dirty`.
+// Indexed `0..K` word loops on purpose: the const trip count unrolls them.
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+#[inline(always)]
+fn publish<const K: usize>(
     prog: &Program,
-    arrays: &NetArrays,
+    fanout: &Fanout,
+    values: &mut [u64],
+    toggles: &mut [u64],
+    dirty: &mut [u64],
+    masks: &[u64; K],
+    i: usize,
+    v: [u64; K],
+) {
+    let net = prog.dst[i] as usize;
+    let dst = &mut values[net * K..net * K + K];
+    let mut toggled = 0u64;
+    let mut any = 0u64;
+    for w in 0..K {
+        let diff = (dst[w] ^ v[w]) & masks[w];
+        toggled += diff.count_ones() as u64;
+        any |= diff;
+        dst[w] = v[w];
+    }
+    if any != 0 {
+        toggles[net] += toggled;
+        for &r in fanout.readers(net as NetId) {
+            dirty[r as usize / 64] |= 1u64 << (r % 64);
+        }
+    }
+}
+
+/// One event-driven settle over the dirty-op bitset; returns `(ops
+/// executed, levels in which some op executed)`. `K == masks.len()` is
+/// the lane-block word count.
+///
+/// Level 0 runs whole when `level0` is set (an input or stored FF word
+/// was dirtied). Every op whose destination word changes on an active
+/// lane marks its readers ([`Fanout::readers`]) in `dirty`. Readers sit
+/// at strictly higher op indices, so one forward pass that pops the
+/// lowest set bit runs every scheduled op exactly once, after all of its
+/// operands, and leaves `dirty` empty. A level cursor advances as the
+/// popped indices cross `prog.bounds`, counting the levels that ran; it
+/// also lets the pass pop a whole level's share of a bitset word at once.
+// Indexed `0..K` word loops on purpose: the const trip count unrolls them.
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+fn settle_worklist<const K: usize>(
+    prog: &Program,
+    fanout: &Fanout,
+    values: &mut [u64],
+    toggles: &mut [u64],
+    dirty: &mut [u64],
     inputs: &[u64],
     ffs: &[u64],
     masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (bool, bool) {
-    dispatch_lane_words!(
-        masks.len(),
-        exec_chunk_level0_impl(prog, arrays, inputs, ffs, masks, cur, range)
-    )
-}
-
-/// The width-monomorphized body of [`exec_chunk_level0`].
-///
-/// # Safety
-///
-/// See [`exec_chunk_level0`].
-// Indexed `0..K` word loops on purpose: the const trip count unrolls them.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-unsafe fn exec_chunk_level0_impl<const K: usize>(
-    prog: &Program,
-    arrays: &NetArrays,
-    inputs: &[u64],
-    ffs: &[u64],
-    masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (bool, bool) {
-    let n = range.len();
-    let ops = &prog.opcodes[range.clone()][..n];
-    let pa = &prog.a[range.clone()][..n];
-    let pd = &prog.dst[range][..n];
-    // A register-resident copy: the raw-pointer `values` stores could
-    // alias the `masks` slice as far as LLVM knows (the noalias attribute
-    // dies at inlining), which would force a reload per op.
-    let masks: [u64; K] = masks[..K].try_into().unwrap();
-    let (mut in_changed, mut ff_changed) = (false, false);
-    for i in 0..n {
-        let d = pd[i] as usize * K;
-        let (src, is_input): (&[u64], bool) = match ops[i] {
-            OpCode::Input => {
-                let a = pa[i] as usize * K;
-                (&inputs[a..a + K], true)
-            }
-            OpCode::DffOut => (&ffs[d..d + K], false),
-            op => unreachable!("level 0 holds only Input/DffOut ops, found {op:?}"),
-        };
-        let mut toggled = 0u64;
-        let mut any = 0u64;
-        for w in 0..K {
-            let v = src[w];
-            let diff = (*arrays.values.add(d + w) ^ v) & masks[w];
-            toggled += diff.count_ones() as u64;
-            any |= diff;
-            *arrays.values.add(d + w) = v;
+    level0: bool,
+) -> (u64, u64) {
+    let masks: [u64; K] = masks.try_into().expect("one mask per lane-block word");
+    let level0_end = prog.level_ops(0).end;
+    let (mut executed, mut levels_run) = (0u64, 0u64);
+    if level0 && level0_end > 0 {
+        for i in 0..level0_end {
+            let (words, at) = match prog.opcodes[i] {
+                OpCode::Input => (inputs, prog.a[i] as usize * K),
+                OpCode::DffOut => (ffs, prog.dst[i] as usize * K),
+                op => unreachable!("level 0 holds only Input/DffOut ops, found {op:?}"),
+            };
+            let v = words[at..at + K].try_into().expect("a K-word block");
+            publish(prog, fanout, values, toggles, dirty, &masks, i, v);
         }
-        if any != 0 {
-            *arrays.toggles.add(pd[i] as usize) += toggled;
-            *arrays.stamp.add(pd[i] as usize) = cur;
-            if is_input {
-                in_changed = true;
-            } else {
-                ff_changed = true;
+        executed += level0_end as u64;
+        levels_run += 1;
+    }
+    let (mut level, mut level_end) = (0usize, level0_end);
+    for word in level0_end / 64..dirty.len() {
+        while dirty[word] != 0 {
+            let first = word * 64 + dirty[word].trailing_zeros() as usize;
+            if first >= level_end {
+                while prog.bounds[level + 1] as usize <= first {
+                    level += 1;
+                }
+                level_end = prog.bounds[level + 1] as usize;
+                levels_run += 1;
+            }
+            // Pop every bit of this word that belongs to `level` at once:
+            // ops of one level never read each other, so running them
+            // marks only later levels, and the batch needs no re-read of
+            // the word between ops.
+            let take = match level_end - word * 64 {
+                n if n >= 64 => u64::MAX,
+                n => (1u64 << n) - 1,
+            };
+            let mut batch = dirty[word] & take;
+            dirty[word] &= !take;
+            while batch != 0 {
+                let i = word * 64 + batch.trailing_zeros() as usize;
+                batch &= batch - 1;
+                let block = |n: u32| -> [u64; K] {
+                    let n = n as usize * K;
+                    values[n..n + K].try_into().expect("a K-word block")
+                };
+                let x = block(prog.a[i]);
+                let mut v = [0u64; K];
+                match prog.opcodes[i] {
+                    OpCode::Not => {
+                        for w in 0..K {
+                            v[w] = !x[w];
+                        }
+                    }
+                    OpCode::Mux => {
+                        let (y, sel) = (block(prog.b[i]), block(prog.c[i]));
+                        for w in 0..K {
+                            v[w] = (sel[w] & y[w]) | (!sel[w] & x[w]);
+                        }
+                    }
+                    op => {
+                        let y = block(prog.b[i]);
+                        for w in 0..K {
+                            v[w] = match op {
+                                OpCode::And => x[w] & y[w],
+                                OpCode::Or => x[w] | y[w],
+                                OpCode::Xor => x[w] ^ y[w],
+                                OpCode::Nand => !(x[w] & y[w]),
+                                OpCode::Nor => !(x[w] | y[w]),
+                                OpCode::Xnor => !(x[w] ^ y[w]),
+                                _ => unreachable!("Input/DffOut ops live in level 0, found {op:?}"),
+                            };
+                        }
+                    }
+                }
+                publish(prog, fanout, values, toggles, dirty, &masks, i, v);
+                executed += 1;
             }
         }
     }
-    (in_changed, ff_changed)
-}
-
-/// Executes a chunk of one dirty level (`level >= 1`) with per-op gating:
-/// an op runs only when one of its operand nets carries the current
-/// settle's change stamp — a skipped op's fan-in is bit-identical to the
-/// previous settle, so its output already holds the settled value.
-/// Returns `(ops executed, any destination changed)`.
-///
-/// # Safety
-///
-/// Same contract as [`exec_chunk_full`]; additionally every operand net's
-/// change stamp for this settle must already be final (they are — operand
-/// nets live in earlier levels, sealed by the level barrier).
-unsafe fn exec_chunk_gated(
-    prog: &Program,
-    arrays: &NetArrays,
-    masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (u64, bool) {
-    dispatch_lane_words!(
-        masks.len(),
-        exec_chunk_gated_impl(prog, arrays, masks, cur, range)
-    )
-}
-
-/// The width-monomorphized body of [`exec_chunk_gated`]. Gating stays per
-/// net: one change stamp covers the whole lane block (a net is "changed"
-/// when any active lane of any word flipped), so wider blocks gate exactly
-/// as often as a 64-lane sim driven with the union of the block's stimuli.
-///
-/// # Safety
-///
-/// See [`exec_chunk_gated`].
-// Indexed `0..K` word loops on purpose: the const trip count unrolls them.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-unsafe fn exec_chunk_gated_impl<const K: usize>(
-    prog: &Program,
-    arrays: &NetArrays,
-    masks: &[u64],
-    cur: u32,
-    range: std::ops::Range<usize>,
-) -> (u64, bool) {
-    let n = range.len();
-    let ops = &prog.opcodes[range.clone()][..n];
-    let pa = &prog.a[range.clone()][..n];
-    let pb = &prog.b[range.clone()][..n];
-    let pc = &prog.c[range.clone()][..n];
-    let pd = &prog.dst[range][..n];
-    // A register-resident copy: the raw-pointer `values` stores could
-    // alias the `masks` slice as far as LLVM knows (the noalias attribute
-    // dies at inlining), which would force a reload per op.
-    let masks: [u64; K] = masks[..K].try_into().unwrap();
-    let values = arrays.values;
-    let stamp = arrays.stamp;
-    let mut executed = 0u64;
-    let mut changed = false;
-    for i in 0..n {
-        let a = pa[i] as usize;
-        let b = pb[i] as usize;
-        let mut v = [0u64; K];
-        match ops[i] {
-            OpCode::Not => {
-                if *stamp.add(a) != cur {
-                    continue;
-                }
-                for w in 0..K {
-                    v[w] = !*values.add(a * K + w);
-                }
-            }
-            OpCode::Mux => {
-                let c = pc[i] as usize;
-                if *stamp.add(a) != cur && *stamp.add(b) != cur && *stamp.add(c) != cur {
-                    continue;
-                }
-                for w in 0..K {
-                    let sel = *values.add(c * K + w);
-                    v[w] = (sel & *values.add(b * K + w)) | (!sel & *values.add(a * K + w));
-                }
-            }
-            op => {
-                if *stamp.add(a) != cur && *stamp.add(b) != cur {
-                    continue;
-                }
-                for w in 0..K {
-                    let (x, y) = (*values.add(a * K + w), *values.add(b * K + w));
-                    v[w] = match op {
-                        OpCode::And => x & y,
-                        OpCode::Or => x | y,
-                        OpCode::Xor => x ^ y,
-                        OpCode::Nand => !(x & y),
-                        OpCode::Nor => !(x | y),
-                        OpCode::Xnor => !(x ^ y),
-                        _ => unreachable!("Input/DffOut ops live in level 0, found {op:?}"),
-                    };
-                }
-            }
-        }
-        executed += 1;
-        let d = pd[i] as usize * K;
-        let mut toggled = 0u64;
-        let mut any = 0u64;
-        for w in 0..K {
-            let diff = (*values.add(d + w) ^ v[w]) & masks[w];
-            toggled += diff.count_ones() as u64;
-            any |= diff;
-            *values.add(d + w) = v[w];
-        }
-        if any != 0 {
-            *arrays.toggles.add(pd[i] as usize) += toggled;
-            *stamp.add(pd[i] as usize) = cur;
-            changed = true;
-        }
-    }
-    (executed, changed)
+    (executed, levels_run)
 }
 
 fn broadcast(bit: bool) -> u64 {
@@ -727,17 +661,23 @@ impl CompiledSim {
     /// Panics unless `1 <= lanes <= `[`MAX_TOTAL_LANES`].
     pub fn with_lanes_arc(netlist: Arc<Netlist>, lanes: usize) -> CompiledSim {
         let prog = crate::cache::ProgramCache::compile_via_global(&netlist);
-        CompiledSim::from_parts(netlist, prog, lanes)
+        let fanout = Arc::new(Fanout::of(&prog));
+        CompiledSim::from_parts(netlist, prog, fanout, lanes)
     }
 
     /// A fresh simulator (reset state, zero counters) over the same
     /// compiled program and netlist, with a possibly different lane
-    /// count. No recompilation: both [`Arc`]s are shared. The eval mode
-    /// and policy are copied over. `ShardedSim` uses this to shape a
-    /// partial trailing lane block without paying a second levelization.
+    /// count. No recompilation: the netlist, program and fanout [`Arc`]s
+    /// are shared. The eval mode and policy are copied over. `ShardedSim`
+    /// uses this to shape a partial trailing lane block without paying a
+    /// second levelization.
     pub(crate) fn reshaped(&self, lanes: usize) -> CompiledSim {
-        let mut sim =
-            CompiledSim::from_parts(Arc::clone(&self.netlist), Arc::clone(&self.prog), lanes);
+        let mut sim = CompiledSim::from_parts(
+            Arc::clone(&self.netlist),
+            Arc::clone(&self.prog),
+            Arc::clone(&self.fanout),
+            lanes,
+        );
         sim.jit_options = self.jit_options.clone();
         sim.set_eval_mode(self.mode);
         sim.set_eval_policy(self.policy);
@@ -750,7 +690,12 @@ impl CompiledSim {
     /// # Panics
     ///
     /// Panics unless `1 <= lanes <= `[`MAX_TOTAL_LANES`].
-    fn from_parts(netlist: Arc<Netlist>, prog: Arc<Program>, lanes: usize) -> CompiledSim {
+    fn from_parts(
+        netlist: Arc<Netlist>,
+        prog: Arc<Program>,
+        fanout: Arc<Fanout>,
+        lanes: usize,
+    ) -> CompiledSim {
         assert!(
             (1..=MAX_TOTAL_LANES).contains(&lanes),
             "lanes must be in 1..={MAX_TOTAL_LANES}, got {lanes}: a CompiledSim packs \
@@ -782,9 +727,8 @@ impl CompiledSim {
             mode: EvalMode::Auto,
             inputs_dirty: true,
             ffs_dirty: true,
-            changed_levels: vec![0u64; prog.dep_stride],
-            changed_stamp: vec![0u32; prog.net_count],
-            settle_id: 0,
+            fanout,
+            dirty: vec![0u64; prog.len().div_ceil(64)],
             dense_backoff: 0,
             policy: EvalPolicy::seq(),
             par_threads: 1,
@@ -1082,8 +1026,8 @@ impl CompiledSim {
     /// Settles all combinational logic for the current inputs and FF state.
     ///
     /// Depending on [`CompiledSim::eval_mode`] this is either one full
-    /// forward sweep of the op stream or an event-driven sweep that skips
-    /// levels whose fan-in did not change; both produce bit-identical
+    /// forward sweep of the op stream or an event-driven pass that runs
+    /// only the ops whose operands changed; both produce bit-identical
     /// values and toggle counts. The very first settle is always a full
     /// sweep (the all-zero reset words must be replaced everywhere).
     pub fn eval(&mut self) {
@@ -1100,15 +1044,10 @@ impl CompiledSim {
                     }
                 }
             };
-        // A fresh stamp per settle: "changed this settle" comparisons never
-        // need an O(nets) clear.
-        self.settle_id = self.settle_id.wrapping_add(1);
-        let threads = self.par_threads();
-        match (event, threads > 1) {
-            (true, true) => self.eval_event_par(threads),
-            (true, false) => self.eval_event(),
-            (false, true) => self.eval_full_par(threads),
-            (false, false) => self.eval_full(),
+        match (event, self.par_threads()) {
+            (true, _) => self.eval_event(),
+            (false, 1) => self.eval_full(),
+            (false, threads) => self.eval_full_par(threads),
         }
         self.stats.settles += 1;
         // The settle consumed all external dirtiness: values now reflect
@@ -1129,7 +1068,6 @@ impl CompiledSim {
         NetArrays {
             values: self.values.as_mut_ptr(),
             toggles: self.toggles.as_mut_ptr(),
-            stamp: self.changed_stamp.as_mut_ptr(),
         }
     }
 
@@ -1174,87 +1112,41 @@ impl CompiledSim {
         self.stats.ops_executed += n as u64;
     }
 
-    /// Event-driven settle, two tiers of exact skipping:
-    ///
-    /// 1. **Whole levels** — a level is skipped outright when none of its
-    ///    dirt sources ([`Program::level_deps`]) changed: level 0 when no
-    ///    input or stored FF word was dirtied since the last settle, any
-    ///    later level when no fan-in level (nor the input-fed/FF-fed
-    ///    source it reads) changed a published word during *this* settle.
-    /// 2. **Per op** — inside a dirty level, an op executes only when one
-    ///    of its operand nets carries the current settle's change stamp
-    ///    ([`CompiledSim::exec_level_gated`]).
-    ///
-    /// Both tiers are bit-exact: skipped work would recompute values that
-    /// are already settled and accumulate zero toggles.
+    /// Event-driven settle: runs exactly level 0 (when an input or stored
+    /// FF word was dirtied) plus the ops with an operand whose word
+    /// changed during this settle ([`settle_worklist`]). Bit-exact: every
+    /// skipped op would recompute the value it already holds and
+    /// accumulate zero toggles. Sequential under every [`EvalPolicy`].
     fn eval_event(&mut self) {
-        let levels = self.prog.levels();
-        self.changed_levels.iter_mut().for_each(|w| *w = 0);
-        let cur = self.settle_id;
-        let arrays = self.net_arrays();
-        let mut ops_run = 0u64;
-        for level in 0..levels {
-            let range = self.prog.level_ops(level);
-            if range.is_empty() {
-                continue; // constants-only level: nothing scheduled
-            }
-            if level == 0 {
-                if !self.inputs_dirty && !self.ffs_dirty {
-                    self.stats.levels_skipped += 1;
-                    continue;
-                }
-                ops_run += range.len() as u64;
-                // SAFETY: `&mut self` is exclusive; the range is level 0.
-                let (in_changed, ff_changed) = unsafe {
-                    exec_chunk_level0(
-                        &self.prog,
-                        &arrays,
-                        &self.input_values,
-                        &self.ff_state,
-                        &self.lane_masks,
-                        cur,
-                        range,
-                    )
-                };
-                // Bits `levels` / `levels + 1`: the input-fed and FF-fed
-                // dirt sources (`Program::dep_bit_inputs`/`dep_bit_ffs`).
-                for (changed, bit) in [(in_changed, levels), (ff_changed, levels + 1)] {
-                    if changed {
-                        self.changed_levels[bit / 64] |= 1u64 << (bit % 64);
-                    }
-                }
-                continue;
-            }
-            let dirty = self
-                .prog
-                .level_dep_set(level)
-                .iter()
-                .zip(self.changed_levels.iter())
-                .any(|(d, c)| d & c != 0);
-            if !dirty {
-                self.stats.levels_skipped += 1;
-                continue;
-            }
-            // SAFETY: `&mut self` is exclusive; all earlier levels have
-            // already executed, so operand values and stamps are final.
-            let (executed, changed) =
-                unsafe { exec_chunk_gated(&self.prog, &arrays, &self.lane_masks, cur, range) };
-            ops_run += executed;
-            if changed {
-                self.changed_levels[level / 64] |= 1u64 << (level % 64);
-            }
-        }
+        let level0 = self.inputs_dirty || self.ffs_dirty;
+        let (ops_run, levels_run) = dispatch_lane_words!(
+            self.lane_words,
+            settle_worklist(
+                &self.prog,
+                &self.fanout,
+                &mut self.values,
+                &mut self.toggles,
+                &mut self.dirty,
+                &self.input_values,
+                &self.ff_state,
+                &self.lane_masks,
+                level0,
+            )
+        );
+        // Every level past 0 holds a gate at that depth, so only level 0
+        // (constants only) can be empty.
+        let scheduled_levels =
+            (self.prog.levels() - usize::from(self.prog.level_ops(0).is_empty())) as u64;
         self.stats.ops_executed += ops_run;
-        // Dense stimulus: when nearly every op ran anyway, the gating
+        self.stats.levels_skipped += scheduled_levels - levels_run;
+        // Dense stimulus: when nearly every op ran anyway, the worklist
         // bookkeeping is pure overhead — fall back to plain full sweeps
         // for a while before probing the event-driven path again.
         self.auto_dense_check(ops_run);
     }
 
     /// Applies [`EvalMode::Auto`]'s dense-stimulus fallback decision for a
-    /// settle that executed `ops_run` ops (aggregated across all worker
-    /// threads in a parallel settle, so the heuristic sees the same number
-    /// the sequential evaluator would).
+    /// settle that executed `ops_run` ops.
     fn auto_dense_check(&mut self, ops_run: u64) {
         if self.mode == EvalMode::Auto
             && ops_run * 8 > self.prog.len() as u64 * AUTO_DENSE_THRESHOLD_EIGHTHS as u64
@@ -1294,7 +1186,7 @@ impl CompiledSim {
                         barrier.wait(threads); // seal writes chunks will read
                         pending_seq = false;
                     }
-                    let chunk = par_chunk(range, tid, threads, 1);
+                    let chunk = par_chunk(range, tid, threads);
                     if !chunk.is_empty() {
                         // SAFETY: chunks partition the level (disjoint dst
                         // writes), operands live in earlier levels, and
@@ -1322,182 +1214,6 @@ impl CompiledSim {
         pool::dispatch(self.pool.as_deref(), threads, worker);
         self.stats.full_sweeps += 1;
         self.stats.ops_executed += self.prog.len() as u64;
-    }
-
-    /// Parallel event-driven settle. Same two exact skipping tiers as
-    /// [`CompiledSim::eval_event`], composed with the per-level chunk
-    /// parallelism of [`CompiledSim::eval_full_par`] — but with worker 0
-    /// as the *sole* owner of the dirt-source bitset and of every skip
-    /// decision, so the narrow levels that dominate sparse schedules run
-    /// barrier-free:
-    ///
-    /// * Unsplit levels (`par_split[level]` false: fewer scheduled ops
-    ///   than `min_par_ops`) are executed whole by worker 0 with no
-    ///   synchronisation at all, exactly like the sequential gated sweep.
-    ///   The other workers never even look at them.
-    /// * A split level costs one *decision* barrier: worker 0 publishes
-    ///   whether the level is dirty into that level's `go` slot (only it
-    ///   can know), and the barrier doubles as the seal for every value
-    ///   and stamp written since the previous edge. A dirty split level
-    ///   adds one *execute* barrier after the chunks run; worker 0 then
-    ///   folds the per-thread `(ops executed, changed)` slots into its
-    ///   dirt set. The slots are not rewritten until after the *next*
-    ///   decision barrier — which worker 0 enters only after reading them
-    ///   — so no merge barrier is needed. (`go` is per level, not one
-    ///   reused flag: a worker that sees "skip" continues without further
-    ///   synchronisation, so worker 0 may publish a *later* level's
-    ///   decision before a slow worker has read the earlier one.)
-    /// * Gating depends only on sealed stamps and worker 0 replays the
-    ///   sequential decision stream exactly, so [`EvalStats`] and the
-    ///   [`EvalMode::Auto`] dense fallback are thread-count independent.
-    fn eval_event_par(&mut self, threads: usize) {
-        let arrays = self.net_arrays();
-        let prog = &*self.prog;
-        let (inputs, ffs) = (&self.input_values[..], &self.ff_state[..]);
-        let masks = &self.lane_masks[..];
-        let cur = self.settle_id;
-        let min_ops = self.policy.min_par_ops;
-        let (inputs_dirty, ffs_dirty) = (self.inputs_dirty, self.ffs_dirty);
-        let levels = prog.levels();
-        let stride = prog.dep_stride;
-        let split = Arc::clone(&self.par_split);
-        // Per-thread result slots for the split level being executed. Each
-        // worker stores its own slot *before* the execute barrier; worker
-        // 0 reads them after it; the next store happens only after a later
-        // decision barrier — so stores and loads are never concurrent.
-        let execd: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-        let flag_a: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
-        let flag_b: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
-        // Worker 0's published skip decision, one slot per split level.
-        let go: Vec<AtomicBool> = (0..levels).map(|_| AtomicBool::new(false)).collect();
-        let run = |tid: usize, barrier: &SpinBarrier| -> (u64, u64) {
-            // The dirt-source set lives on worker 0 alone; other workers
-            // never make (or need) a skip decision of their own.
-            let mut changed_levels = vec![0u64; stride];
-            let mut ops_run = 0u64;
-            let mut skipped = 0u64;
-            for level in 0..levels {
-                let range = prog.level_ops(level);
-                if range.is_empty() {
-                    continue;
-                }
-                if level == 0 {
-                    // Level 0's skip decision reads pre-captured dirt
-                    // flags, so every worker can make it locally.
-                    if !inputs_dirty && !ffs_dirty {
-                        skipped += 1;
-                        continue;
-                    }
-                    ops_run += range.len() as u64;
-                    if split[0] {
-                        let chunk = par_chunk(range, tid, threads, min_ops);
-                        let (in_c, ff_c) = if chunk.is_empty() {
-                            (false, false)
-                        } else {
-                            // SAFETY: chunks partition level 0; see NetArrays.
-                            unsafe {
-                                exec_chunk_level0(prog, &arrays, inputs, ffs, masks, cur, chunk)
-                            }
-                        };
-                        flag_a[tid].store(in_c, Relaxed);
-                        flag_b[tid].store(ff_c, Relaxed);
-                        barrier.wait(threads); // execute done: slots + stamps sealed
-                        if tid == 0 {
-                            for (bit, flags) in [(levels, &flag_a), (levels + 1, &flag_b)] {
-                                if flags.iter().any(|f| f.load(Relaxed)) {
-                                    changed_levels[bit / 64] |= 1u64 << (bit % 64);
-                                }
-                            }
-                        }
-                    } else if tid == 0 {
-                        // SAFETY: worker 0 alone runs unsplit levels.
-                        let (in_c, ff_c) = unsafe {
-                            exec_chunk_level0(prog, &arrays, inputs, ffs, masks, cur, range)
-                        };
-                        for (bit, c) in [(levels, in_c), (levels + 1, ff_c)] {
-                            if c {
-                                changed_levels[bit / 64] |= 1u64 << (bit % 64);
-                            }
-                        }
-                    }
-                    continue;
-                }
-                if split[level] {
-                    if tid == 0 {
-                        let dirty = prog
-                            .level_dep_set(level)
-                            .iter()
-                            .zip(changed_levels.iter())
-                            .any(|(d, c)| d & c != 0);
-                        go[level].store(dirty, Relaxed);
-                    }
-                    // Decision barrier: publishes `go[level]` and seals
-                    // every value and stamp written since the last edge.
-                    barrier.wait(threads);
-                    if !go[level].load(Relaxed) {
-                        skipped += 1;
-                        continue;
-                    }
-                    let chunk = par_chunk(range, tid, threads, min_ops);
-                    let (executed, changed) = if chunk.is_empty() {
-                        (0, false)
-                    } else {
-                        // SAFETY: chunks partition the level; operand
-                        // values and stamps were sealed by the decision
-                        // barrier.
-                        unsafe { exec_chunk_gated(prog, &arrays, masks, cur, chunk) }
-                    };
-                    execd[tid].store(executed, Relaxed);
-                    flag_a[tid].store(changed, Relaxed);
-                    barrier.wait(threads); // execute done
-                    if tid == 0 {
-                        let mut any = false;
-                        for t in 0..threads {
-                            ops_run += execd[t].load(Relaxed);
-                            any |= flag_a[t].load(Relaxed);
-                        }
-                        if any {
-                            changed_levels[level / 64] |= 1u64 << (level % 64);
-                        }
-                    }
-                } else if tid == 0 {
-                    let dirty = prog
-                        .level_dep_set(level)
-                        .iter()
-                        .zip(changed_levels.iter())
-                        .any(|(d, c)| d & c != 0);
-                    if !dirty {
-                        skipped += 1;
-                        continue;
-                    }
-                    // SAFETY: worker 0 alone runs unsplit levels; chunk
-                    // writes from earlier split levels were sealed by
-                    // their execute barriers.
-                    let (executed, changed) =
-                        unsafe { exec_chunk_gated(prog, &arrays, masks, cur, range) };
-                    ops_run += executed;
-                    if changed {
-                        changed_levels[level / 64] |= 1u64 << (level % 64);
-                    }
-                }
-            }
-            (ops_run, skipped)
-        };
-        // Only worker 0 owns the dirt set and the slot folds, so only its
-        // (ops_run, skipped) pair is meaningful — and it equals the
-        // sequential gated sweep's totals exactly.
-        let (out_ops, out_skipped) = (AtomicU64::new(0), AtomicU64::new(0));
-        pool::dispatch(self.pool.as_deref(), threads, |tid, barrier| {
-            let (ops_run, skipped) = run(tid, barrier);
-            if tid == 0 {
-                out_ops.store(ops_run, Relaxed);
-                out_skipped.store(skipped, Relaxed);
-            }
-        });
-        let (ops_run, skipped) = (out_ops.load(Relaxed), out_skipped.load(Relaxed));
-        self.stats.ops_executed += ops_run;
-        self.stats.levels_skipped += skipped;
-        self.auto_dense_check(ops_run);
     }
 
     /// Clock edge: latches every DFF's `d` lane block into its state.

@@ -11,12 +11,11 @@
 //! [`crate::sharded::ShardedSim`]'s shards, or a future per-level
 //! evaluator) can exploit the recorded level structure.
 //!
-//! Compilation also records per-level *fan-in level sets*
-//! ([`Program::level_deps`]): for each level, a bitset over the earlier
-//! levels whose nets feed it. This is what lets
-//! [`crate::compiled::CompiledSim`]'s event-driven evaluation skip a whole
-//! level when none of its fan-in levels changed a value word during the
-//! current settle (see `docs/simulation.md` § "Event-driven evaluation").
+//! [`Fanout::of`] derives a program's *fanout map*: for each net, the
+//! indices of the ops that read it. This is what lets
+//! [`crate::compiled::CompiledSim`]'s event-driven evaluation run exactly
+//! the ops whose operands changed during the current settle (see
+//! `docs/simulation.md` § "Event-driven evaluation").
 
 use crate::{Gate, NetId, Netlist};
 
@@ -143,26 +142,6 @@ pub struct Program {
     pub c: Vec<u32>,
     /// Op-stream offsets of each level (`len = levels + 1`).
     pub bounds: Vec<u32>,
-    /// Per-level fan-in *dirt source* sets, flattened:
-    /// `level_deps[l * dep_stride .. (l + 1) * dep_stride]` is a bitset
-    /// (bit `k` = word `k / 64`, bit `k % 64`) over the sources whose
-    /// change forces level `l` to re-evaluate:
-    ///
-    /// * bit `k < levels` — some op in level `l` reads a net computed in
-    ///   level `k`. Level-0 nets are published from external words and get
-    ///   the two dedicated bits below instead, so bit 0 is never set.
-    /// * bit `levels` ([`Program::dep_bit_inputs`]) — some op reads a net
-    ///   published from a primary-input word ([`OpCode::Input`]).
-    /// * bit `levels + 1` ([`Program::dep_bit_ffs`]) — some op reads a net
-    ///   published from a stored FF word ([`OpCode::DffOut`]).
-    ///
-    /// Splitting level 0 by source kind is what lets a cycle loop skip
-    /// input-fed cones when only flip-flops changed (and vice versa).
-    /// Constant nets are excluded entirely: they can never change.
-    pub level_deps: Vec<u64>,
-    /// Bitset words per level in [`Program::level_deps`]
-    /// (`(levels + 2).div_ceil(64)`).
-    pub dep_stride: usize,
     /// Constant nets and their fixed values (preset at reset, never executed).
     pub consts: Vec<(NetId, bool)>,
     /// `(ff net, d net)` pairs latched by a clock edge.
@@ -184,9 +163,6 @@ impl Program {
         let lev = levelize(netlist);
         let gates = netlist.gates();
         let levels = lev.levels();
-        // Two extra dirt-source bits past the per-level ones: "input-fed"
-        // and "FF-fed" (see the `level_deps` docs).
-        let dep_stride = (levels + 2).div_ceil(64);
         let mut p = Program {
             opcodes: Vec::with_capacity(gates.len()),
             dst: Vec::with_capacity(gates.len()),
@@ -194,8 +170,6 @@ impl Program {
             b: Vec::with_capacity(gates.len()),
             c: Vec::with_capacity(gates.len()),
             bounds: Vec::with_capacity(lev.bounds.len()),
-            level_deps: vec![0u64; levels * dep_stride],
-            dep_stride,
             consts: Vec::new(),
             dffs: Vec::new(),
             net_count: gates.len(),
@@ -224,19 +198,6 @@ impl Program {
                         (OpCode::DffOut, 0, 0, 0)
                     }
                 };
-                // Record which dirt sources feed this level. Constant
-                // fan-ins are skipped (preset at reset, can never change);
-                // level-0 fan-ins resolve to the input-fed or FF-fed
-                // source bit depending on what publishes them.
-                for f in gates[id as usize].fanin() {
-                    let dep = match gates[f as usize] {
-                        Gate::Const(_) => continue,
-                        Gate::Input(_) => levels,
-                        Gate::Dff { .. } => levels + 1,
-                        _ => lev.depth[f as usize] as usize,
-                    };
-                    p.level_deps[level * dep_stride + dep / 64] |= 1u64 << (dep % 64);
-                }
                 p.opcodes.push(op);
                 p.dst.push(id);
                 p.a.push(a);
@@ -277,24 +238,6 @@ impl Program {
         self.bounds[level] as usize..self.bounds[level + 1] as usize
     }
 
-    /// [`Program::level_deps`] bit index of the "a primary-input word
-    /// changed" dirt source.
-    pub fn dep_bit_inputs(&self) -> usize {
-        self.levels()
-    }
-
-    /// [`Program::level_deps`] bit index of the "a stored FF word changed"
-    /// dirt source.
-    pub fn dep_bit_ffs(&self) -> usize {
-        self.levels() + 1
-    }
-
-    /// The dirt-source set of one level, as a `dep_stride`-word bitset
-    /// slice (see [`Program::level_deps`] for the bit layout).
-    pub fn level_dep_set(&self, level: usize) -> &[u64] {
-        &self.level_deps[level * self.dep_stride..(level + 1) * self.dep_stride]
-    }
-
     /// Scheduled ops of the widest level — the upper bound on how much
     /// intra-level parallelism ([`crate::compiled::EvalPolicy`]) the
     /// schedule can ever exploit.
@@ -306,29 +249,93 @@ impl Program {
     }
 }
 
+/// A program's fanout map in CSR form: for each net, the ascending
+/// indices of the ops that read it.
+///
+/// Each reading op is listed once per net, even when it reads the net
+/// through several operands. Only ops of level ≥ 1 appear: level 0
+/// publishes external words and reads no nets. Simulators build the map
+/// when they are constructed and share it with their clones; it is not
+/// part of the cached [`Program`], so resident programs stay as small as
+/// the op stream itself.
+#[derive(Debug, Clone)]
+pub struct Fanout {
+    /// Row offsets (`len = net_count + 1`): the ops reading net `n` are
+    /// `ops[start[n]..start[n + 1]]`.
+    pub start: Vec<u32>,
+    /// Reading op indices, row by row.
+    pub ops: Vec<u32>,
+}
+
+impl Fanout {
+    /// Builds the fanout map of `prog`: a counting pass, a prefix sum,
+    /// then a fill pass in op order, which leaves every row ascending.
+    pub fn of(prog: &Program) -> Fanout {
+        // The distinct nets op `i` reads.
+        let operands = |i: usize| {
+            let arity = match prog.opcodes[i] {
+                OpCode::Input | OpCode::DffOut => 0,
+                OpCode::Not => 1,
+                OpCode::Mux => 3,
+                _ => 2,
+            };
+            let (mut nets, mut n) = ([0u32; 3], 0);
+            for f in [prog.a[i], prog.b[i], prog.c[i]].into_iter().take(arity) {
+                if !nets[..n].contains(&f) {
+                    nets[n] = f;
+                    n += 1;
+                }
+            }
+            (nets, n)
+        };
+        let reading = prog.level_ops(0).end..prog.len();
+        let edges: usize = reading.clone().map(|i| operands(i).1).sum();
+        checked_u32(edges, "fanout edges");
+        let mut start = vec![0u32; prog.net_count + 1];
+        for i in reading.clone() {
+            let (nets, n) = operands(i);
+            for &f in &nets[..n] {
+                start[f as usize + 1] += 1;
+            }
+        }
+        for n in 1..start.len() {
+            start[n] += start[n - 1];
+        }
+        // Fill using each row's start as its cursor, which leaves
+        // `start[n]` at row `n`'s end; shifting by one restores it.
+        let mut ops = vec![0u32; edges];
+        for i in reading {
+            let (nets, n) = operands(i);
+            for &f in &nets[..n] {
+                ops[start[f as usize] as usize] = i as u32;
+                start[f as usize] += 1;
+            }
+        }
+        start.copy_within(..prog.net_count, 1);
+        start[0] = 0;
+        Fanout { start, ops }
+    }
+
+    /// The ops that read `net`, ascending.
+    pub fn readers(&self, net: NetId) -> &[u32] {
+        let n = net as usize;
+        &self.ops[self.start[n] as usize..self.start[n + 1] as usize]
+    }
+}
+
 /// The contiguous sub-range of `range` that worker `tid` of `threads`
 /// evaluates when a level is split for parallel evaluation.
 ///
 /// The split is purely positional — `div_ceil`-sized chunks in op order —
 /// so it is deterministic for a fixed `(range, threads)` and the chunks
 /// partition `range` exactly (no op is evaluated twice or dropped).
-/// Ranges shorter than `min_ops` are not split at all: worker 0 takes the
-/// whole range and every other worker gets an empty chunk, because the
-/// per-level barrier handshake would dominate tiny levels.
+/// Whether a level is worth splitting at all is the caller's decision.
 pub(crate) fn par_chunk(
     range: std::ops::Range<usize>,
     tid: usize,
     threads: usize,
-    min_ops: usize,
 ) -> std::ops::Range<usize> {
     let n = range.len();
-    if n < min_ops || threads <= 1 {
-        return if tid == 0 {
-            range
-        } else {
-            range.start..range.start
-        };
-    }
     let chunk = n.div_ceil(threads);
     let lo = range.start + (tid * chunk).min(n);
     let hi = range.start + ((tid + 1) * chunk).min(n);
@@ -382,47 +389,44 @@ mod tests {
     }
 
     #[test]
-    fn level_deps_cover_exactly_the_fanin_sources() {
-        let nl = sample();
-        let lev = levelize(&nl);
-        let p = Program::compile(&nl);
-        assert_eq!(p.dep_stride, (p.levels() + 2).div_ceil(64));
-        assert_eq!(p.level_deps.len(), p.levels() * p.dep_stride);
-        // Reconstruct the expected sets straight from the gate arena.
-        let gates = nl.gates();
-        for level in 0..p.levels() {
-            let deps = p.level_dep_set(level);
-            let mut expect = vec![0u64; p.dep_stride];
-            for i in p.level_ops(level) {
-                for f in gates[p.dst[i] as usize].fanin() {
-                    let d = match gates[f as usize] {
-                        Gate::Const(_) => continue,
-                        Gate::Input(_) => p.dep_bit_inputs(),
-                        Gate::Dff { .. } => p.dep_bit_ffs(),
-                        _ => lev.depth[f as usize] as usize,
-                    };
-                    expect[d / 64] |= 1u64 << (d % 64);
+    fn fanout_lists_exactly_the_reading_ops() {
+        let mut b = Builder::new();
+        let x = b.input("x");
+        let y = b.input("y");
+        let one = b.constant(true);
+        let g = b.and(x, y);
+        let m = b.mux(y, g, x);
+        b.output("m", m);
+        // Builder folding never emits duplicate or constant operands, but
+        // the gate arena can hold them (mutants do), so plant both by hand.
+        let nl = b
+            .finish()
+            .with_gate_replaced(g, Gate::And(x, x))
+            .with_gate_replaced(
+                m,
+                Gate::Mux {
+                    sel: x,
+                    a: g,
+                    b: one,
+                },
+            );
+        for nl in [sample(), nl] {
+            let p = Program::compile(&nl);
+            let fanout = Fanout::of(&p);
+            assert_eq!(fanout.start.len(), nl.len() + 1);
+            // Rebuild every row straight from the gate arena.
+            let gates = nl.gates();
+            for net in 0..nl.len() as NetId {
+                let expect: Vec<u32> = (0..p.len() as u32)
+                    .filter(|&i| gates[p.dst[i as usize] as usize].fanin().any(|f| f == net))
+                    .collect();
+                assert_eq!(fanout.readers(net), &expect[..], "net {net}");
+                // Readers sit strictly after the op that computes `net`.
+                if let Some(op) = p.dst.iter().position(|&d| d == net) {
+                    assert!(expect.iter().all(|&r| r as usize > op), "net {net}");
                 }
             }
-            assert_eq!(deps, &expect[..], "level {level}");
-            // Net fan-ins are strictly earlier levels, and never level 0
-            // (level-0 nets resolve to the external dirt-source bits).
-            assert_eq!(deps[0] & 1, 0, "level {level} claims a level-0 net");
-            for k in level..p.levels() {
-                assert_eq!(deps[k / 64] & (1 << (k % 64)), 0, "level {level} dep {k}");
-            }
         }
-        // Level 0 itself reads only external words: an all-empty set.
-        assert!(p.level_dep_set(0).iter().all(|&w| w == 0));
-        // The sample circuit's level 1 reads inputs (and/or) but no FFs;
-        // the xor level reads the FF output.
-        assert_ne!(
-            p.level_dep_set(1)[p.dep_bit_inputs() / 64] & (1 << (p.dep_bit_inputs() % 64)),
-            0
-        );
-        let ff_reader = (1..p.levels())
-            .any(|l| p.level_dep_set(l)[p.dep_bit_ffs() / 64] & (1 << (p.dep_bit_ffs() % 64)) != 0);
-        assert!(ff_reader, "some level must read the DFF output");
     }
 
     #[test]
@@ -441,7 +445,7 @@ mod tests {
                 let range = start..start + len;
                 let mut covered = Vec::new();
                 for tid in 0..threads {
-                    let c = par_chunk(range.clone(), tid, threads, 1);
+                    let c = par_chunk(range.clone(), tid, threads);
                     assert!(c.start >= range.start && c.end <= range.end);
                     covered.extend(c);
                 }
@@ -452,15 +456,6 @@ mod tests {
                     "{len} ops / {threads} threads"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn par_chunks_keep_small_levels_on_worker_zero() {
-        let range = 5..20; // 15 ops, below the 16-op threshold
-        assert_eq!(par_chunk(range.clone(), 0, 4, 16), range);
-        for tid in 1..4 {
-            assert!(par_chunk(range.clone(), tid, 4, 16).is_empty());
         }
     }
 

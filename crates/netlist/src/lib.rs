@@ -14,11 +14,13 @@
 //!   reference backend, event-free and two-phase with toggle counting (the
 //!   activity numbers feed the FlexIC power model).
 //! * [`level`] — levelization and compilation of a netlist into a flat,
-//!   structure-of-arrays op stream with per-level fan-in metadata.
+//!   structure-of-arrays op stream, and the op stream's per-net fanout
+//!   map.
 //! * [`compiled`] — the compiled backend: up to 512 stimulus lanes per
 //!   eval packed as K-word lane blocks (K contiguous `u64`s per net),
-//!   exact popcount-per-word toggle accounting, and event-driven level
-//!   skipping on low-activity stimulus ([`compiled::EvalMode`]).
+//!   exact popcount-per-word toggle accounting, and an event-driven
+//!   dirty-op worklist for low-activity stimulus
+//!   ([`compiled::EvalMode`]).
 //! * [`jit`] — native code emission for the compiled op stream: each
 //!   level lowered to straight-line x86-64 in an mmap'd W^X buffer
 //!   (`EvalMode::Jit` / `GATE_SIM_JIT`), falling back to the

@@ -30,7 +30,7 @@ pub(crate) fn port_bit(value: u64, i: usize) -> u64 {
 ///
 /// Purely diagnostic: the counters never influence simulation results —
 /// they let benches and tests assert that an optimisation (e.g. the
-/// compiled backend's event-driven level skipping, `docs/simulation.md`
+/// compiled backend's event-driven worklist, `docs/simulation.md`
 /// § "Event-driven evaluation") actually engaged, and quantify how many
 /// ops a stimulus schedule really executed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +41,9 @@ pub struct EvalStats {
     pub full_sweeps: u64,
     /// Ops (gates) actually executed, summed over all settles.
     pub ops_executed: u64,
-    /// Whole levels skipped by event-driven evaluation (0 for backends
-    /// that always sweep).
+    /// Levels in which an event-driven settle executed no op, summed over
+    /// settles (0 for backends and settles that sweep every op). Empty
+    /// levels (a constants-only level 0) are never counted.
     pub levels_skipped: u64,
 }
 

@@ -106,3 +106,42 @@ fn every_rissp_is_smaller_than_the_full_isa_core() {
         );
     }
 }
+
+/// Golden pin of the simulated switching activity behind Figs 8–9: the
+/// total toggle count of a `bench::characterise_workload`-style run
+/// (1,500 cycles on the application's own `-O2` RISSP) for three
+/// applications, in every evaluation mode. The values were measured
+/// before the event-driven worklist replaced level skipping; any
+/// simulator refactor that moves a power input fails here.
+#[test]
+fn characterisation_toggle_totals_are_pinned_in_every_eval_mode() {
+    use netlist::EvalMode;
+    const ACTIVITY_CYCLES: u64 = 1500; // bench::ACTIVITY_CYCLES
+    let library = HwLibrary::build_full();
+    for (name, pinned) in [
+        ("crc32", 1_097_234u64),
+        ("xgboost", 484_476),
+        ("tarfind", 65_655),
+    ] {
+        let w = workloads::by_name(name).unwrap();
+        let image = w.compile(OptLevel::O2).unwrap();
+        let subset = InstructionSubset::from_words(&image.words);
+        let rissp = Rissp::generate(&library, &subset);
+        for mode in [
+            EvalMode::Auto,
+            EvalMode::FullSweep,
+            EvalMode::EventDriven,
+            EvalMode::Jit,
+        ] {
+            let mut cpu = GateLevelCpu::new(&rissp, 0);
+            cpu.set_eval_mode(mode);
+            cpu.load_words(0, &image.words);
+            for (base, words) in &image.data_segments {
+                cpu.load_words(*base, words);
+            }
+            let _ = cpu.run(ACTIVITY_CYCLES);
+            let toggles: u64 = cpu.sim().toggles().iter().sum();
+            assert_eq!(toggles, pinned, "{name} under {mode:?}");
+        }
+    }
+}
