@@ -75,14 +75,59 @@ fn drive<S: SimBackend>(sim: &mut S, inputs: &BlockInputs) {
     sim.set_bus(ports::DMEM_RDATA, inputs.dmem_rdata);
 }
 
-fn drive_chunk(sim: &mut CompiledSim, chunk: &[BlockInputs]) {
-    // One transposed write per port (ports resolve once per shard chunk).
-    let field = |f: fn(&BlockInputs) -> u32| chunk.iter().map(|i| f(i) as u64).collect::<Vec<_>>();
-    sim.set_bus_lanes(ports::PC, &field(|i| i.pc));
-    sim.set_bus_lanes(ports::INSN, &field(|i| i.insn));
-    sim.set_bus_lanes(ports::RS1_DATA, &field(|i| i.rs1_data));
-    sim.set_bus_lanes(ports::RS2_DATA, &field(|i| i.rs2_data));
-    sim.set_bus_lanes(ports::DMEM_RDATA, &field(|i| i.dmem_rdata));
+/// One shard's port I/O buffers, reused by every chunk of a sweep.
+#[derive(Default)]
+struct LaneIo {
+    /// One port's value per lane: stimulus on the way in, readback on
+    /// the way out.
+    words: Vec<u64>,
+    /// The settled block outputs per lane.
+    outputs: Vec<BlockOutputs>,
+    /// The settled `sel` per lane.
+    sel: Vec<u64>,
+}
+
+impl LaneIo {
+    /// Drives `chunk[l]` onto lane `l`: one transposed write per port.
+    fn drive(&mut self, sim: &mut CompiledSim, chunk: &[BlockInputs]) {
+        let mut drive = |port: &str, field: fn(&BlockInputs) -> u32| {
+            self.words.clear();
+            self.words.extend(chunk.iter().map(|i| field(i) as u64));
+            sim.set_bus_lanes(port, &self.words);
+        };
+        drive(ports::PC, |i| i.pc);
+        drive(ports::INSN, |i| i.insn);
+        drive(ports::RS1_DATA, |i| i.rs1_data);
+        drive(ports::RS2_DATA, |i| i.rs2_data);
+        drive(ports::DMEM_RDATA, |i| i.dmem_rdata);
+    }
+
+    /// Reads every output port and `sel` on lanes `0..lanes`: one
+    /// transposed read per port, matching [`read_outputs_lane`] lane for
+    /// lane.
+    fn read(&mut self, sim: &CompiledSim, lanes: usize) {
+        self.words.resize(lanes, 0);
+        self.outputs.clear();
+        self.outputs.resize(lanes, BlockOutputs::default());
+        let mut read = |port: &str, set: fn(&mut BlockOutputs, u64)| {
+            sim.get_bus_lanes(port, &mut self.words);
+            for (out, &v) in self.outputs.iter_mut().zip(&self.words) {
+                set(out, v);
+            }
+        };
+        read(ports::NEXT_PC, |o, v| o.next_pc = v as u32);
+        read(ports::RS1_ADDR, |o, v| o.rs1_addr = v as u8);
+        read(ports::RS2_ADDR, |o, v| o.rs2_addr = v as u8);
+        read(ports::RD_ADDR, |o, v| o.rd_addr = v as u8);
+        read(ports::RD_DATA, |o, v| o.rd_data = v as u32);
+        read(ports::RD_WE, |o, v| o.rd_we = v != 0);
+        read(ports::DMEM_ADDR, |o, v| o.dmem_addr = v as u32);
+        read(ports::DMEM_WDATA, |o, v| o.dmem_wdata = v as u32);
+        read(ports::DMEM_WMASK, |o, v| o.dmem_wmask = v as u8);
+        read(ports::DMEM_RE, |o, v| o.dmem_re = v != 0);
+        self.sel.resize(lanes, 0);
+        sim.get_bus_lanes(ports::SEL, &mut self.sel);
+    }
 }
 
 fn read_outputs(sim: &Sim) -> BlockOutputs {
@@ -115,10 +160,19 @@ pub(crate) fn read_outputs_lane<S: SimBackend>(sim: &S, lane: usize) -> BlockOut
 /// chunk and stops at its first failing vector; the smallest global index
 /// across shards wins, so the returned error is exactly the one a
 /// sequential sweep would hit first, at any thread count.
+///
+/// Port I/O is lane-batched: each settle drives every input port with one
+/// [`CompiledSim::set_bus_lanes`] and reads every output port and `sel`
+/// with one [`CompiledSim::get_bus_lanes`] into per-shard buffers, so
+/// `check` gets `(outputs, sel, index, inputs)` for one vector. Bit moves
+/// used to dominate the sweep (drive 52%, settle 2%, check 46% of thread
+/// time); with transposed I/O the split is drive 22%, settle 9%, check
+/// 69%, most of it the golden model (`docs/simulation.md` § "Lane
+/// packing").
 fn run_batched(
     sim: &mut ShardedSim,
     vectors: &[BlockInputs],
-    check: impl Fn(&CompiledSim, usize, usize, &BlockInputs) -> Result<(), VerifyError> + Sync,
+    check: impl Fn(&BlockOutputs, bool, usize, &BlockInputs) -> Result<(), VerifyError> + Sync,
 ) -> Result<(), VerifyError> {
     let lanes_per_shard = sim.lanes_per_shard();
     let width = sim.lanes();
@@ -127,6 +181,7 @@ fn run_batched(
             // Shards are uniform except for a possibly-narrower trailing
             // lane block, so clamp this shard's slice to its own width.
             let shard_lanes = s.lanes();
+            let mut io = LaneIo::default();
             let mut first: Option<(usize, VerifyError)> = None;
             'chunks: for (chunk_idx, chunk) in vectors.chunks(width).enumerate() {
                 let lo = (shard * lanes_per_shard).min(chunk.len());
@@ -135,11 +190,13 @@ fn run_batched(
                 if slice.is_empty() {
                     continue; // the final partial chunk may not reach this shard
                 }
-                drive_chunk(s, slice);
+                io.drive(s, slice);
                 s.eval();
-                for (lane, inputs) in slice.iter().enumerate() {
+                io.read(s, slice.len());
+                let settled = io.outputs.iter().zip(&io.sel);
+                for (lane, (inputs, (hw, &sel))) in slice.iter().zip(settled).enumerate() {
                     let index = chunk_idx * width + lo + lane;
-                    if let Err(e) = check(s, index, lane, inputs) {
+                    if let Err(e) = check(hw, sel != 0, index, inputs) {
                         first = Some((index, e));
                         break 'chunks;
                     }
@@ -210,12 +267,17 @@ pub fn arch_test_vectors(m: Mnemonic) -> Vec<BlockInputs> {
     vectors
 }
 
+/// Decodes a vector's instruction word (every generated vector decodes).
+fn decode(inputs: &BlockInputs) -> Instruction {
+    Instruction::decode(inputs.insn).expect("vector insn must decode")
+}
+
 fn golden_check(
     mnemonic: Mnemonic,
+    instr: Instruction,
     inputs: &BlockInputs,
     hw: &BlockOutputs,
 ) -> Result<(), VerifyError> {
-    let instr = Instruction::decode(inputs.insn).expect("vector insn must decode");
     let golden = block_semantics(instr, inputs);
     if *hw != golden {
         return Err(VerifyError {
@@ -267,8 +329,8 @@ pub fn functional_verify_arc(
 ) -> Result<(), VerifyError> {
     let mut sim = ShardedSim::with_policy_arc(netlist, policy);
     let vectors = arch_test_vectors(mnemonic);
-    run_batched(&mut sim, &vectors, |sim, _index, lane, inputs| {
-        golden_check(mnemonic, inputs, &read_outputs_lane(sim, lane))
+    run_batched(&mut sim, &vectors, |hw, _sel, _index, inputs| {
+        golden_check(mnemonic, decode(inputs), inputs, hw)
     })
 }
 
@@ -344,11 +406,10 @@ pub fn formal_verify_arc(
             }
         })
         .collect();
-    run_batched(&mut sim, &vectors, |sim, _index, lane, inputs| {
-        let instr = Instruction::decode(inputs.insn).expect("vector insn must decode");
-        let hw = read_outputs_lane(sim, lane);
+    run_batched(&mut sim, &vectors, |hw, sel, _index, inputs| {
+        let instr = decode(inputs);
         // Specification equivalence.
-        golden_check(m, inputs, &hw)?;
+        golden_check(m, instr, inputs, hw)?;
         // Interface assertions on the raw hardware outputs.
         let inputs = *inputs;
         if !m.is_store() && hw.dmem_wmask != 0 {
@@ -381,7 +442,7 @@ pub fn formal_verify_arc(
                 inputs,
             });
         }
-        if sim.get_bus_lane(ports::SEL, lane) == 0 {
+        if !sel {
             return Err(VerifyError {
                 property: format!("{m}: sel deasserted for own encoding"),
                 inputs,
@@ -408,8 +469,8 @@ pub fn formal_verify_arc(
             }
         })
         .collect();
-    run_batched(&mut sim, &foreign_vectors, |sim, index, lane, inputs| {
-        if sim.get_bus_lane(ports::SEL, lane) != 0 {
+    run_batched(&mut sim, &foreign_vectors, |_hw, sel, index, inputs| {
+        if sel {
             return Err(VerifyError {
                 property: format!("{m}: sel asserted for `{}` encoding", others[index]),
                 inputs: *inputs,
@@ -456,6 +517,29 @@ mod tests {
             netlist: build_block(Mnemonic::Sub),
         };
         assert!(functional_verify(&wrong).is_err());
+    }
+
+    #[test]
+    fn batched_sweep_reports_the_first_failure_of_a_scalar_sweep() {
+        // The lane-batched port I/O must report exactly the error a
+        // one-vector-at-a-time interpreted sweep hits first.
+        let wrong = InstrBlock {
+            mnemonic: Mnemonic::Add,
+            netlist: build_block(Mnemonic::Sub),
+        };
+        let scalar = arch_test_vectors(Mnemonic::Add)
+            .iter()
+            .find_map(|v| golden_check(Mnemonic::Add, decode(v), v, &run_hw_block(&wrong, v)).err())
+            .expect("the sub block fails some add vector");
+        for shards in [1, 4] {
+            let policy = ShardPolicy {
+                shards,
+                lanes_per_shard: 64,
+                threads: 2,
+                ..ShardPolicy::single()
+            };
+            assert_eq!(functional_verify_with(&wrong, policy).unwrap_err(), scalar);
+        }
     }
 
     #[test]

@@ -617,6 +617,30 @@ fn broadcast(bit: bool) -> u64 {
     }
 }
 
+/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of row `r`
+/// holds what bit `r` of row `c` held. The 6-stage block swap of Hacker's
+/// Delight §7-3: stage `j` exchanges the off-diagonal `j×j` blocks of
+/// every `2j×2j` tile, so the whole transpose costs 6 × 32 masked swaps.
+/// It is its own inverse. The lane-batched port I/O uses it to turn one
+/// value per lane (rows) into one lane word per port bit (rows) and back.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_ffff_ffff;
+    while j != 0 {
+        // Rows `k` with bit `j` clear pair with row `k + j`: the high `j`
+        // bits of each block in row `k` swap with the low ones in `k + j`.
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
 impl CompiledSim {
     /// Compiles `netlist` for single-lane (scalar-equivalent) execution.
     pub fn new(netlist: &Netlist) -> CompiledSim {
@@ -949,11 +973,14 @@ impl CompiledSim {
     }
 
     /// Drives the named input port with one value per lane
-    /// (`values[lane]`'s low bits), resolving the port once.
+    /// (`values[lane]`'s low bits), resolving the port once. Port bits at
+    /// and beyond 64 are driven to 0.
     ///
     /// Lanes beyond `values.len()` keep their previous stimulus. This is
-    /// the fast path for batched sweeps: one transpose per port instead of
-    /// a port lookup per lane.
+    /// the fast path for batched sweeps: per 64 lanes it costs one 64×64
+    /// bit transpose and one word store per port bit, instead of a port
+    /// lookup and a single-bit insert per lane and bit. A write that
+    /// changes no input word leaves the simulator clean.
     ///
     /// # Panics
     ///
@@ -971,22 +998,26 @@ impl CompiledSim {
             .input(port)
             .unwrap_or_else(|| panic!("no input port `{port}`"));
         let k = self.lane_words;
-        for (i, &net) in port.nets.iter().enumerate() {
-            match self.netlist.gates()[net as usize] {
-                Gate::Input(idx) => {
-                    let base = idx as usize * k;
-                    let mut block = [0u64; MAX_LANE_WORDS];
-                    block[..k].copy_from_slice(&self.input_values[base..base + k]);
-                    for (lane, &v) in values.iter().enumerate() {
-                        let (w, bit) = (lane / LANES_PER_WORD, lane % LANES_PER_WORD);
-                        block[w] = (block[w] & !(1u64 << bit)) | (port_bit(v, i) << bit);
+        for (w, lanes) in values.chunks(LANES_PER_WORD).enumerate() {
+            // Rows in: one value per lane. Rows out: one lane word per
+            // port bit, ready to store.
+            let mut rows = [0u64; LANES_PER_WORD];
+            rows[..lanes.len()].copy_from_slice(lanes);
+            transpose64(&mut rows);
+            let keep = !word_lane_mask(lanes.len());
+            for (i, &net) in port.nets.iter().enumerate() {
+                match self.netlist.gates()[net as usize] {
+                    Gate::Input(idx) => {
+                        let bits = rows.get(i).copied().unwrap_or(0);
+                        let word = &mut self.input_values[idx as usize * k + w];
+                        let new = (*word & keep) | bits;
+                        if *word != new {
+                            *word = new;
+                            self.inputs_dirty = true;
+                        }
                     }
-                    if self.input_values[base..base + k] != block[..k] {
-                        self.input_values[base..base + k].copy_from_slice(&block[..k]);
-                        self.inputs_dirty = true;
-                    }
+                    ref g => panic!("net {net} is not an input: {g:?}"),
                 }
-                ref g => panic!("net {net} is not an input: {g:?}"),
             }
         }
     }
@@ -1280,6 +1311,40 @@ impl CompiledSim {
             .fold(0u64, |acc, (i, &n)| {
                 acc | (((self.values[n as usize * self.lane_words + w] >> bit) & 1) << i)
             })
+    }
+
+    /// Reads the named output port on lanes `0..out.len()`: `out[l]` gets
+    /// what `get_bus_lane(port, l)` returns. The read twin of
+    /// [`CompiledSim::set_bus_lanes`]: per 64 lanes it costs one port
+    /// lookup, one word load per port bit and one 64×64 bit transpose,
+    /// instead of a lookup and a single-bit gather per lane and bit. Port
+    /// bits at and beyond 64 read as absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist or `out.len() > lanes`.
+    pub fn get_bus_lanes(&self, port: &str, out: &mut [u64]) {
+        assert!(
+            out.len() <= self.lanes,
+            "{} reads exceed {} lanes",
+            out.len(),
+            self.lanes
+        );
+        let port = self
+            .netlist
+            .output(port)
+            .unwrap_or_else(|| panic!("no output port `{port}`"));
+        let k = self.lane_words;
+        for (w, lanes) in out.chunks_mut(LANES_PER_WORD).enumerate() {
+            // Rows in: one lane word per port bit. Rows out: one value
+            // per lane.
+            let mut rows = [0u64; LANES_PER_WORD];
+            for (row, &net) in rows.iter_mut().zip(&port.nets) {
+                *row = self.values[net as usize * k + w];
+            }
+            transpose64(&mut rows);
+            lanes.copy_from_slice(&rows[..lanes.len()]);
+        }
     }
 
     /// Reads the named output port on lane 0.
@@ -1722,6 +1787,30 @@ mod tests {
         sim.eval();
         assert_eq!(sim.get_bus_lane("y", 0), 0x1234);
         assert_eq!(sim.get_bus_lane("y", 1), 0xdead_beef);
+    }
+
+    #[test]
+    fn transpose64_is_an_involution_matching_a_naive_gather() {
+        // splitmix64: deterministic random matrices without a dependency.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..32 {
+            let m: [u64; 64] = std::array::from_fn(|_| next());
+            let mut t = m;
+            transpose64(&mut t);
+            for (r, &row) in t.iter().enumerate() {
+                let naive = (0..64).fold(0u64, |acc, c| acc | (((m[c] >> r) & 1) << c));
+                assert_eq!(row, naive, "row {r}");
+            }
+            transpose64(&mut t);
+            assert_eq!(t, m);
+        }
     }
 
     #[test]

@@ -1239,6 +1239,86 @@ proptest! {
         prop_assert_eq!(&jit.0, &full.0, "sharded per-lane outputs");
         prop_assert_eq!(&jit.1, &full.1, "sharded merged toggles");
     }
+
+    /// The transposed port I/O equals the per-lane calls
+    /// (`docs/simulation.md` § "Lane packing"): at every K, with a full
+    /// and a partial trailing word, and for port widths below, at and
+    /// beyond 64 bits, `set_bus_lanes` of a prefix of the lanes leaves
+    /// every net word exactly as `set_bus_lane` per lane does (lanes past
+    /// the prefix keep their stimulus, port bits ≥ 64 drive 0), and
+    /// `get_bus_lanes` of any prefix reads what `get_bus_lane` reads.
+    /// Re-writing the same values dirties nothing: the next event-driven
+    /// settle runs no op.
+    #[test]
+    fn batched_port_io_matches_per_lane_calls(
+        values in proptest::collection::vec(any::<u64>(), 512..513),
+        offset in 0usize..64,
+        cut in any::<u16>(),
+    ) {
+        for width in [1usize, 5, 32, 64, 70] {
+            let nl = echo_netlist(width);
+            let lane_counts = (1..=8).flat_map(|k| [64 * (k - 1) + 1 + offset, 64 * k]);
+            for lanes in lane_counts {
+                let k = lanes.div_ceil(64);
+                let mut batched = CompiledSim::with_lanes(&nl, lanes);
+                batched.set_eval_mode(EvalMode::EventDriven);
+                let mut per_lane = CompiledSim::with_lanes(&nl, lanes);
+                // A prior stimulus on every lane, so kept lanes show.
+                for lane in 0..lanes {
+                    let prior = !values[lanes - 1 - lane];
+                    batched.set_bus_lane("x", lane, prior);
+                    per_lane.set_bus_lane("x", lane, prior);
+                }
+                batched.eval();
+                let n = cut as usize % (lanes + 1);
+                batched.set_bus_lanes("x", &values[..n]);
+                for (lane, &v) in values[..n].iter().enumerate() {
+                    per_lane.set_bus_lane("x", lane, v);
+                }
+                batched.eval();
+                per_lane.eval();
+                let masks = batched.lane_masks().to_vec();
+                for net in 0..nl.len() as u32 {
+                    for (w, &mask) in masks.iter().enumerate() {
+                        prop_assert_eq!(
+                            batched.lane_word_at(net, w) & mask,
+                            per_lane.lane_word_at(net, w) & mask,
+                            "width {} lanes {} prefix {} net {} word {}",
+                            width, lanes, n, net, w
+                        );
+                    }
+                }
+                let m = (cut as usize / 7) % (lanes + 1);
+                for port in ["y", "ny"] {
+                    let mut out = vec![0u64; m];
+                    batched.get_bus_lanes(port, &mut out);
+                    let want: Vec<u64> = (0..m).map(|l| batched.get_bus_lane(port, l)).collect();
+                    prop_assert_eq!(
+                        out, want,
+                        "read {} width {} lanes {} (K = {}) prefix {}", port, width, lanes, k, m
+                    );
+                }
+                let before = batched.eval_stats().ops_executed;
+                batched.set_bus_lanes("x", &values[..n]);
+                batched.eval();
+                prop_assert_eq!(
+                    batched.eval_stats().ops_executed, before,
+                    "an unchanged write dirtied width {} lanes {}", width, lanes
+                );
+            }
+        }
+    }
+}
+
+/// An echo netlist for the port-I/O properties: input `x` (`width` bits)
+/// drives output `y` unchanged and output `ny` inverted.
+fn echo_netlist(width: usize) -> Netlist {
+    let mut b = Builder::new();
+    let x = b.input_bus("x", width);
+    let nx: Vec<_> = x.iter().map(|&n| b.not(n)).collect();
+    b.output_bus("y", &x);
+    b.output_bus("ny", &nx);
+    b.finish()
 }
 
 /// Forcing an op stream the lowerer rejects must surface as a fallback
