@@ -1,9 +1,9 @@
 //! Figure 10: full physical implementation at 300 kHz of the three
 //! extreme-edge RISSPs plus the two baselines — die dimensions, area,
 //! flip-flop fraction and power. Pass `--threads N` to characterise the
-//! edge applications on N threads and settle the RV32E baseline's batched
-//! run with N-way parallel level evaluation (results are thread-count
-//! independent).
+//! edge applications on N threads (results are thread-count independent;
+//! the RV32E baseline's batched run is one simulation and stays on one
+//! thread).
 
 use bench::{
     characterise_rv32e, characterise_serv, characterise_workloads, header, threads_from_args,

@@ -4,9 +4,9 @@
 //!
 //! One binary regenerates all four figures because they share the expensive
 //! pipeline (RISSP generation + gate-level activity measurement + sweep).
-//! Pass `--threads N` to characterise the 25 workloads on N threads and
-//! settle the RV32E baseline's batched run with N-way parallel level
-//! evaluation (the numbers are identical for every thread count).
+//! Pass `--threads N` to characterise the 25 workloads on N threads (the
+//! numbers are identical for every thread count; the RV32E baseline's
+//! batched run is one simulation and stays on one thread).
 
 use bench::{
     characterise_rv32e, characterise_serv, characterise_workloads, header, threads_from_args,

@@ -11,7 +11,7 @@ pub mod service;
 use flexic::tech::Tech;
 use flexic::DesignMetrics;
 use hwlib::HwLibrary;
-use netlist::compiled::{EvalPolicy, MAX_TOTAL_LANES};
+use netlist::compiled::MAX_TOTAL_LANES;
 use netlist::stats::GateCounts;
 use rissp::processor::{BatchedGateLevelCpu, GateLevelCpu};
 use rissp::profile::InstructionSubset;
@@ -22,13 +22,6 @@ use xcc::OptLevel;
 
 /// Gate-level simulation window used for switching-activity measurement.
 pub const ACTIVITY_CYCLES: u64 = 1500;
-
-/// Minimum ops a level needs before the characterisation harness lets
-/// `EvalPolicy` split it across worker threads: the per-settle thread
-/// scope plus per-level barriers cost ~0.5–1 ms, so chunking only pays
-/// for levels tens of thousands of ops wide (the compiled sweep runs
-/// ~400 Mops/s single-threaded).
-pub const PAR_LEVEL_BREAK_EVEN_OPS: usize = 50_000;
 
 /// Parses a `--threads N` (or `--threads=N`) knob from the process
 /// arguments; defaults to 1 so the figure binaries stay single-threaded
@@ -103,12 +96,13 @@ pub fn characterise_workload(lib: &HwLibrary, w: &Workload, t: &Tech) -> Charact
 /// α values — methodologically identical to [`characterise_workload`],
 /// just over the whole suite instead of one representative workload.
 ///
-/// `threads > 1` settles the shared core with parallel level evaluation
-/// (`EvalPolicy::par_levels`); the measured activity is bit-identical for
-/// every thread count — the batched run cannot be split over workloads the
-/// way [`characterise_workloads`] splits, because all lanes share one
-/// simulation, so intra-netlist parallelism is the axis that applies here.
-pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech, threads: usize) -> CharacterisedDesign {
+/// `_threads` is unused: all lanes share one simulation, so the run cannot
+/// be split over workloads the way [`characterise_workloads`] splits, and
+/// splitting the core's levels across threads lost to the sequential
+/// settle (`docs/simulation.md` § "Why settles are sequential"). The
+/// argument stays so the figure binaries can pass one `--threads` value
+/// to every characterisation entry point.
+pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech, _threads: usize) -> CharacterisedDesign {
     let rissp = Rissp::generate_full_isa(lib);
     let suite = workloads::all();
     assert!(
@@ -122,21 +116,6 @@ pub fn characterise_rv32e(lib: &HwLibrary, t: &Tech, threads: usize) -> Characte
         .collect();
     let entries = vec![0u32; images.len()];
     let mut cpu = BatchedGateLevelCpu::new(&rissp, &entries);
-    if threads > 1 {
-        // Raised split threshold: par-level workers only engage when a
-        // level is wide enough that the chunked sweep can plausibly beat
-        // the per-level barrier handshakes. The RV32E core's levels are
-        // far below this, so today the policy resolves to a sequential
-        // settle — the knob is plumbed through for the large-netlist
-        // regime it targets, without silently slowing the small-core
-        // case. (Settles run on the persistent worker pool, so the old
-        // per-settle thread::scope spawn tax is gone either way.)
-        cpu.set_eval_policy(EvalPolicy {
-            threads,
-            min_par_ops: PAR_LEVEL_BREAK_EVEN_OPS,
-            ..EvalPolicy::seq()
-        });
-    }
     for (lane, image) in images.iter().enumerate() {
         cpu.load_words(lane, 0, &image.words);
         for (base, words) in &image.data_segments {

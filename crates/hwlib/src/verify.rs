@@ -484,7 +484,6 @@ pub fn formal_verify_arc(
 mod tests {
     use super::*;
     use crate::blocks::build_block;
-    use netlist::sharded::ShardSchedule;
 
     fn block(m: Mnemonic) -> InstrBlock {
         InstrBlock {
@@ -579,39 +578,42 @@ mod tests {
     }
 
     #[test]
-    fn verification_is_schedule_pool_and_par_level_independent() {
-        // The scheduler (work-stealing vs deprecated static), the
-        // persistent worker pool vs its scoped-thread fallback, and the
-        // intra-shard parallel level evaluation are pure performance
-        // knobs: verdicts and first failing vectors cannot move.
-        #[allow(deprecated)] // pins the deprecated scheduler as reference
-        let schedules = [ShardSchedule::WorkStealing, ShardSchedule::Static];
-        for schedule in schedules {
-            for (par_levels, use_pool) in [(1, true), (1, false), (2, true)] {
-                let policy = ShardPolicy {
-                    shards: 3,
-                    lanes_per_shard: 64,
-                    threads: 2,
-                    schedule,
-                    par_levels,
-                    use_pool,
-                    ..ShardPolicy::single()
-                };
-                functional_verify_with(&block(Mnemonic::Xor), policy)
-                    .unwrap_or_else(|e| panic!("{schedule:?}/{par_levels}: {e}"));
-                formal_verify_with(&block(Mnemonic::Sw), 192, 0xf00d, policy)
-                    .unwrap_or_else(|e| panic!("{schedule:?}/{par_levels}: {e}"));
-                let wrong = InstrBlock {
-                    mnemonic: Mnemonic::Add,
-                    netlist: build_block(Mnemonic::Sub),
-                };
-                assert_eq!(
-                    functional_verify_with(&wrong, policy).unwrap_err(),
-                    functional_verify(&wrong).unwrap_err(),
-                    "{schedule:?}/{par_levels}/pool={use_pool} moved the \
-                     first failing vector"
-                );
-            }
+    fn verification_is_thread_count_and_nesting_independent() {
+        // The thread count and the pool-vs-scoped dispatch (a sweep issued
+        // from inside a pool job runs its shards on scoped threads) are
+        // pure performance choices: verdicts and first failing vectors
+        // cannot move.
+        let wrong = InstrBlock {
+            mnemonic: Mnemonic::Add,
+            netlist: build_block(Mnemonic::Sub),
+        };
+        let want = functional_verify(&wrong).unwrap_err();
+        let check = |policy: ShardPolicy| {
+            functional_verify_with(&block(Mnemonic::Xor), policy)
+                .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+            formal_verify_with(&block(Mnemonic::Sw), 192, 0xf00d, policy)
+                .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+            assert_eq!(
+                functional_verify_with(&wrong, policy).unwrap_err(),
+                want,
+                "{policy:?} moved the first failing vector"
+            );
+        };
+        for threads in [1, 2, 4] {
+            // Unfused, so the three 64-lane shards really spread over the
+            // threads.
+            let policy = ShardPolicy {
+                shards: 3,
+                lanes_per_shard: 64,
+                threads,
+                lane_words: 1,
+            };
+            check(policy);
+            netlist::WorkerPool::new(1).run(2, |tid, _| {
+                if tid == 0 {
+                    check(policy);
+                }
+            });
         }
     }
 

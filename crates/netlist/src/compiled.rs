@@ -37,42 +37,19 @@
 //! for a while so dense stimuli never pay the worklist overhead; see
 //! `docs/simulation.md` § "Event-driven evaluation".
 //!
-//! # Parallel level evaluation
+//! # One thread per settle
 //!
-//! [`EvalPolicy`] adds a third, intra-netlist parallel axis on top of the
-//! 64 stimulus lanes and the shard threads: with
-//! [`CompiledSim::par_levels`]`(n)` each sufficiently wide level's op
-//! range of a full sweep is split into contiguous chunks evaluated by `n`
-//! worker threads, with barrier edges ordering cross-thread reads. Every
-//! op writes a distinct destination net, so the per-chunk value/toggle
-//! writes are disjoint and the merge is exact by construction — values
-//! **and** per-net toggle counts stay bit-identical to the sequential
-//! sweep. Event-driven settles always run the sequential worklist, so
-//! they are bit-identical (stats included) for every thread count. See
-//! `docs/simulation.md` § "Parallel level evaluation".
-//!
-//! Parallel settles run on the process-wide persistent
-//! [`crate::pool::WorkerPool`] by default (acquired lazily by
-//! [`CompiledSim::set_eval_policy`], shared with every other simulator,
-//! released when the policy goes sequential or the simulator drops), so
-//! consecutive settles reuse hot parked workers instead of paying a
-//! `std::thread::scope` spawn each. Scoped threads remain as the fallback
-//! ([`EvalPolicy::use_pool`] `= false`, `GATE_SIM_POOL=0`, or a settle
-//! issued from inside another pool job) and produce bit-identical
-//! results.
+//! A settle runs on the calling thread. Throughput parallelism comes
+//! from the lanes of a block and from [`crate::sharded::ShardedSim`]
+//! spreading whole lane blocks over the worker pool; splitting one
+//! netlist's levels across threads lost to the sequential sweep on every
+//! measured core and was removed (`docs/simulation.md` § "Why settles
+//! are sequential").
 
-use crate::level::{par_chunk, Fanout, OpCode, Program};
-use crate::pool::{self, SpinBarrier, WorkerPool};
+use crate::level::{Fanout, OpCode, Program};
 use crate::sim::{port_bit, EvalStats, SimBackend};
 use crate::{Gate, NetId, Netlist};
 use std::sync::Arc;
-
-/// Stimulus lanes per value word (bits of one `u64`). Historically also
-/// the per-simulator lane ceiling, which K-word lane blocks removed.
-#[deprecated(note = "64 is the per-word lane count, not a ceiling any more: \
-            `CompiledSim` packs up to `MAX_TOTAL_LANES` lanes into K-word \
-            lane blocks (`LANES_PER_WORD * MAX_LANE_WORDS`)")]
-pub const MAX_LANES: usize = 64;
 
 /// Stimulus lanes per `u64` value word (bit `l % 64` of word `l / 64`).
 pub const LANES_PER_WORD: usize = 64;
@@ -131,9 +108,7 @@ pub enum EvalMode {
     /// codegen is available for this host, program, and lane width —
     /// otherwise interpreted full sweeps, bit-identically. Selected by
     /// default when `GATE_SIM_JIT=1`; `GATE_SIM_JIT=0` disables the
-    /// native path even under an explicit `Jit` mode. Sequential only:
-    /// an [`EvalPolicy`] with `threads > 1` takes precedence and runs
-    /// the interpreted parallel sweep (see `docs/jit.md`).
+    /// native path even under an explicit `Jit` mode (see `docs/jit.md`).
     Jit,
 }
 
@@ -144,85 +119,6 @@ pub const AUTO_DENSE_BACKOFF: u32 = 32;
 /// Dirty fraction (executed ops / scheduled ops) above which
 /// [`EvalMode::Auto`] falls back to full sweeps, as a numerator over 8.
 const AUTO_DENSE_THRESHOLD_EIGHTHS: usize = 7;
-
-/// Default minimum scheduled ops a level needs before [`EvalPolicy`]
-/// splits it across worker threads: below this the per-level barrier
-/// handshake dominates and the level runs whole on worker 0.
-pub const PAR_LEVEL_MIN_OPS: usize = 256;
-
-/// Intra-settle parallelism policy for [`CompiledSim::eval`]: how many
-/// scoped worker threads split each level's op range into contiguous
-/// chunks, and how wide a level must be to be worth splitting. Only full
-/// sweeps split; event-driven settles run the sequential worklist under
-/// every policy.
-///
-/// Purely a performance knob — settled values, FF state, and exact
-/// per-net toggle counts are bit-identical for every `threads` value in
-/// every [`EvalMode`] (the property tests in
-/// `crates/netlist/tests/properties.rs` enforce this; the mechanism is
-/// described in `docs/simulation.md` § "Parallel level evaluation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalPolicy {
-    /// Worker threads per settle (the calling thread is worker 0;
-    /// `1` means fully sequential evaluation with zero threading cost).
-    pub threads: usize,
-    /// Minimum scheduled ops a level needs before it is split; smaller
-    /// levels execute whole on worker 0 while the other workers wait at
-    /// the level barrier.
-    pub min_par_ops: usize,
-    /// Run parallel settles on the persistent shared
-    /// [`crate::pool::WorkerPool`] (the default) instead of spawning a
-    /// fresh `std::thread::scope` per settle. Purely a performance knob —
-    /// both paths are bit-identical — kept switchable so benches can
-    /// measure the pool against its scoped predecessor and as an escape
-    /// hatch (`GATE_SIM_POOL=0` forces it off globally).
-    pub use_pool: bool,
-}
-
-impl EvalPolicy {
-    /// Sequential evaluation on the calling thread (the default).
-    pub fn seq() -> EvalPolicy {
-        EvalPolicy {
-            threads: 1,
-            min_par_ops: PAR_LEVEL_MIN_OPS,
-            use_pool: true,
-        }
-    }
-
-    /// Splits each sufficiently wide level across `threads` workers on
-    /// the persistent shared worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn par_levels(threads: usize) -> EvalPolicy {
-        assert!(threads >= 1, "eval policy needs at least one thread");
-        EvalPolicy {
-            threads,
-            ..EvalPolicy::seq()
-        }
-    }
-
-    /// Like [`EvalPolicy::par_levels`] but on per-settle scoped threads —
-    /// the pre-pool execution model, kept reachable so benches and the
-    /// determinism property tests can pin the pool against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn par_levels_scoped(threads: usize) -> EvalPolicy {
-        EvalPolicy {
-            use_pool: false,
-            ..EvalPolicy::par_levels(threads)
-        }
-    }
-}
-
-impl Default for EvalPolicy {
-    fn default() -> EvalPolicy {
-        EvalPolicy::seq()
-    }
-}
 
 /// Compiled bit-parallel simulator for one netlist.
 ///
@@ -272,23 +168,6 @@ pub struct CompiledSim {
     /// Remaining full-sweep settles before [`EvalMode::Auto`] re-probes
     /// the event-driven path.
     dense_backoff: u32,
-    /// Intra-settle parallelism knob ([`CompiledSim::set_eval_policy`]).
-    policy: EvalPolicy,
-    /// `policy.threads` capped by how many useful chunks the widest level
-    /// can yield (spawning workers that could never receive a chunk is
-    /// pure cost); cached by `set_eval_policy` — a pure function of the
-    /// immutable program and the policy, so never computed per settle.
-    par_threads: usize,
-    /// Per-level split decisions under the current policy (`true` when a
-    /// full sweep chunks the level across workers, `false` when worker 0
-    /// runs it whole). Cached by `set_eval_policy` so the full-sweep
-    /// worker can elide barriers around runs of unsplit levels instead of
-    /// paying one per level; empty when `par_threads == 1`.
-    par_split: Arc<Vec<bool>>,
-    /// Handle on the persistent worker pool, held while the policy wants
-    /// pooled threads. Dropping the last handle process-wide joins the
-    /// pool's workers.
-    pool: Option<Arc<WorkerPool>>,
     /// Native code for this program at this lane width, held while the
     /// mode is [`EvalMode::Jit`] and codegen succeeded; `None` is the
     /// interpreter-fallback state ([`CompiledSim::jit_active`]).
@@ -299,35 +178,6 @@ pub struct CompiledSim {
     jit_options: crate::jit::JitOptions,
     stats: EvalStats,
 }
-
-/// Raw, `Sync` view of one simulator's per-net arrays, handed to the
-/// per-level worker chunks of a parallel settle.
-///
-/// # Safety contract
-///
-/// Sharing these pointers across worker threads is sound because of three
-/// structural facts, which every caller of the `exec_chunk_*` functions
-/// must preserve:
-///
-/// 1. **Disjoint writes.** Each scheduled op writes exactly one
-///    destination net (`values[dst]`, `toggles[dst]`), each net is
-///    computed by exactly one op, and the chunks handed to the workers
-///    partition a level's op range — so no two threads ever write the
-///    same index during one level.
-/// 2. **Reads see only earlier levels.** An op's operand nets live in
-///    strictly earlier levels (ASAP levelization), so within a level no
-///    chunk reads an index any chunk writes.
-/// 3. **Barrier edges order levels.** A `Barrier::wait` separates
-///    consecutive levels, so writes of level `l` happen-before reads of
-///    level `l + 1`.
-struct NetArrays {
-    values: *mut u64,
-    toggles: *mut u64,
-}
-
-// SAFETY: see the struct-level contract — all concurrent access through
-// these pointers is index-disjoint or ordered by a barrier edge.
-unsafe impl Sync for NetArrays {}
 
 /// Expands to a `match` on the runtime lane-block word count that calls
 /// `$body::<K>($args...)` with the matching const generic. Every legal
@@ -351,60 +201,67 @@ macro_rules! dispatch_lane_words {
     };
 }
 
-/// Executes ops `range` of the stream unconditionally. Dispatches to a body
-/// monomorphized per lane-block word count (the `masks` slice length).
+/// Executes the whole op stream unconditionally, in order. Dispatches to
+/// a body monomorphized per lane-block word count (the `masks` slice
+/// length).
 ///
 /// # Safety
 ///
-/// `range` must lie within the op stream, and the caller must uphold the
-/// [`NetArrays`] contract: no other thread may concurrently touch any net
-/// index this chunk writes, and all operand nets must already hold their
-/// settled values for this settle.
-unsafe fn exec_chunk_full(
+/// Every net index `prog` holds must be below `prog.net_count`: the
+/// kernel loads and stores them without bounds checks. (The array sizes
+/// are asserted here; `Program::compile` guarantees the indices.)
+unsafe fn exec_full(
     prog: &Program,
-    arrays: &NetArrays,
+    values: &mut [u64],
+    toggles: &mut [u64],
     inputs: &[u64],
     ffs: &[u64],
     masks: &[u64],
-    range: std::ops::Range<usize>,
 ) {
+    assert!(
+        values.len() == prog.net_count * masks.len() && toggles.len() == prog.net_count,
+        "state arrays must hold one lane block and one toggle counter per net"
+    );
     dispatch_lane_words!(
         masks.len(),
-        exec_chunk_full_impl(prog, arrays, inputs, ffs, masks, range)
+        exec_full_impl(prog, values, toggles, inputs, ffs, masks)
     )
 }
 
-/// The width-monomorphized body of [`exec_chunk_full`]; `K == masks.len()`
-/// is the lane-block word count.
+/// The width-monomorphized body of [`exec_full`]; `K == masks.len()` is
+/// the lane-block word count.
 ///
-/// The operand arrays are sliced to the range up front so the hot loop's
-/// stream indexing is bounds-check free.
+/// The operand arrays are sliced to the stream length up front so the
+/// hot loop's stream indexing is bounds-check free; net loads and stores
+/// go through raw pointers, which a safe-slice rewrite measured 20–30%
+/// slower than.
 ///
 /// # Safety
 ///
-/// See [`exec_chunk_full`].
+/// See [`exec_full`].
 // Indexed `0..K` word loops on purpose: the const trip count unrolls them.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
-unsafe fn exec_chunk_full_impl<const K: usize>(
+unsafe fn exec_full_impl<const K: usize>(
     prog: &Program,
-    arrays: &NetArrays,
+    values: &mut [u64],
+    toggles: &mut [u64],
     inputs: &[u64],
     ffs: &[u64],
     masks: &[u64],
-    range: std::ops::Range<usize>,
 ) {
-    let n = range.len();
-    let ops = &prog.opcodes[range.clone()][..n];
-    let pa = &prog.a[range.clone()][..n];
-    let pb = &prog.b[range.clone()][..n];
-    let pc = &prog.c[range.clone()][..n];
-    let pd = &prog.dst[range][..n];
+    let n = prog.len();
+    let ops = &prog.opcodes[..n];
+    let pa = &prog.a[..n];
+    let pb = &prog.b[..n];
+    let pc = &prog.c[..n];
+    let pd = &prog.dst[..n];
     // A register-resident copy: the raw-pointer `values` stores could
     // alias the `masks` slice as far as LLVM knows (the noalias attribute
     // dies at inlining), which would force a reload per op.
     let masks: [u64; K] = masks[..K].try_into().unwrap();
-    let values = arrays.values;
+    let values = values.as_mut_ptr();
+    let toggles = toggles.as_mut_ptr();
     for i in 0..n {
         let a = pa[i] as usize * K;
         let b = pb[i] as usize * K;
@@ -465,7 +322,7 @@ unsafe fn exec_chunk_full_impl<const K: usize>(
             *values.add(d + w) = v[w];
         }
         if any != 0 {
-            *arrays.toggles.add(pd[i] as usize) += toggled;
+            *toggles.add(pd[i] as usize) += toggled;
         }
     }
 }
@@ -692,7 +549,7 @@ impl CompiledSim {
     /// A fresh simulator (reset state, zero counters) over the same
     /// compiled program and netlist, with a possibly different lane
     /// count. No recompilation: the netlist, program and fanout [`Arc`]s
-    /// are shared. The eval mode and policy are copied over. `ShardedSim`
+    /// are shared. The eval mode and JIT options are copied over. `ShardedSim`
     /// uses this to shape a partial trailing lane block without paying a
     /// second levelization.
     pub(crate) fn reshaped(&self, lanes: usize) -> CompiledSim {
@@ -704,7 +561,6 @@ impl CompiledSim {
         );
         sim.jit_options = self.jit_options.clone();
         sim.set_eval_mode(self.mode);
-        sim.set_eval_policy(self.policy);
         sim
     }
 
@@ -754,10 +610,6 @@ impl CompiledSim {
             fanout,
             dirty: vec![0u64; prog.len().div_ceil(64)],
             dense_backoff: 0,
-            policy: EvalPolicy::seq(),
-            par_threads: 1,
-            par_split: Arc::new(Vec::new()),
-            pool: None,
             jit: None,
             jit_options: crate::jit::JitOptions::default(),
             stats: EvalStats::default(),
@@ -836,69 +688,6 @@ impl CompiledSim {
     /// (unsupported host, codegen failure, or `GATE_SIM_JIT=0`).
     pub fn jit_active(&self) -> bool {
         self.jit.is_some()
-    }
-
-    /// The intra-settle parallelism policy ([`EvalPolicy`]).
-    pub fn eval_policy(&self) -> EvalPolicy {
-        self.policy
-    }
-
-    /// Selects the intra-settle parallelism policy. Purely a performance
-    /// knob: values and exact per-net toggle counts are bit-identical for
-    /// every thread count in every [`EvalMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy.threads == 0`.
-    pub fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        assert!(policy.threads >= 1, "eval policy needs at least one thread");
-        self.policy = policy;
-        // The capped worker count is a pure function of the (immutable)
-        // program and the policy: compute it once here, not per settle.
-        self.par_threads = if policy.threads <= 1 {
-            1
-        } else {
-            let useful = self
-                .prog
-                .max_level_ops()
-                .div_ceil(policy.min_par_ops.max(1));
-            policy.threads.min(useful.max(1))
-        };
-        // So are the per-level split decisions the full-sweep worker uses
-        // to place its barrier edges.
-        self.par_split = if self.par_threads > 1 {
-            let min_ops = policy.min_par_ops.max(1);
-            Arc::new(
-                (0..self.prog.levels())
-                    .map(|l| self.prog.level_ops(l).len() >= min_ops)
-                    .collect(),
-            )
-        } else {
-            Arc::new(Vec::new())
-        };
-        // Hold the shared pool for as long as the policy wants pooled
-        // workers; releasing the last handle process-wide joins them.
-        self.pool = if self.par_threads > 1 && policy.use_pool && pool::env_pool_enabled() {
-            Some(WorkerPool::shared(self.par_threads - 1))
-        } else {
-            None
-        };
-    }
-
-    /// Convenience for [`CompiledSim::set_eval_policy`]: split each
-    /// sufficiently wide level across `threads` scoped worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn par_levels(&mut self, threads: usize) {
-        self.set_eval_policy(EvalPolicy::par_levels(threads));
-    }
-
-    /// Worker threads a settle will actually use (cached by
-    /// [`CompiledSim::set_eval_policy`]).
-    fn par_threads(&self) -> usize {
-        self.par_threads
     }
 
     /// Work counters for this simulator's settles (diagnostic only).
@@ -1075,10 +864,10 @@ impl CompiledSim {
                     }
                 }
             };
-        match (event, self.par_threads()) {
-            (true, _) => self.eval_event(),
-            (false, 1) => self.eval_full(),
-            (false, threads) => self.eval_full_par(threads),
+        if event {
+            self.eval_event();
+        } else {
+            self.eval_full();
         }
         self.stats.settles += 1;
         // The settle consumed all external dirtiness: values now reflect
@@ -1090,15 +879,6 @@ impl CompiledSim {
             // transitions of the first settle are not real switching.
             self.toggles.iter_mut().for_each(|t| *t = 0);
             self.primed = true;
-        }
-    }
-
-    /// The raw array view the chunk executors operate on. The returned
-    /// pointers alias `self`'s arrays; see [`NetArrays`] for the rules.
-    fn net_arrays(&mut self) -> NetArrays {
-        NetArrays {
-            values: self.values.as_mut_ptr(),
-            toggles: self.toggles.as_mut_ptr(),
         }
     }
 
@@ -1126,17 +906,16 @@ impl CompiledSim {
             self.stats.ops_executed += n as u64;
             return;
         }
-        let arrays = self.net_arrays();
-        // SAFETY: `&mut self` is exclusive — no other thread can touch the
-        // arrays — and `0..n` is the whole (valid) op stream.
+        // SAFETY: `&mut self` is exclusive, and `self.prog` came from
+        // `Program::compile`, so its net indices are below `net_count`.
         unsafe {
-            exec_chunk_full(
+            exec_full(
                 &self.prog,
-                &arrays,
+                &mut self.values,
+                &mut self.toggles,
                 &self.input_values,
                 &self.ff_state,
                 &self.lane_masks,
-                0..n,
             );
         }
         self.stats.full_sweeps += 1;
@@ -1147,7 +926,7 @@ impl CompiledSim {
     /// FF word was dirtied) plus the ops with an operand whose word
     /// changed during this settle ([`settle_worklist`]). Bit-exact: every
     /// skipped op would recompute the value it already holds and
-    /// accumulate zero toggles. Sequential under every [`EvalPolicy`].
+    /// accumulate zero toggles.
     fn eval_event(&mut self) {
         let level0 = self.inputs_dirty || self.ffs_dirty;
         let (ops_run, levels_run) = dispatch_lane_words!(
@@ -1184,67 +963,6 @@ impl CompiledSim {
         {
             self.dense_backoff = AUTO_DENSE_BACKOFF;
         }
-    }
-
-    /// Parallel full sweep: every level wide enough to split
-    /// (`par_split`, cached by [`CompiledSim::set_eval_policy`]) is
-    /// chunked contiguously across `threads` workers; narrower levels run
-    /// whole on worker 0. Barrier edges are placed only where values
-    /// actually cross threads — before a split level whenever anything
-    /// was written since the last edge, and before worker 0 reads chunk
-    /// results — so a schedule dominated by narrow levels pays a handful
-    /// of barriers per settle instead of one per level. Bit-identical to
-    /// [`CompiledSim::eval_full`]: chunks partition the same op stream
-    /// and every op writes its own destination net.
-    fn eval_full_par(&mut self, threads: usize) {
-        let arrays = self.net_arrays();
-        let prog = &*self.prog;
-        let (inputs, ffs) = (&self.input_values[..], &self.ff_state[..]);
-        let masks = &self.lane_masks[..];
-        let split = Arc::clone(&self.par_split);
-        let worker = move |tid: usize, barrier: &SpinBarrier| {
-            // The barrier bookkeeping is a pure function of the (shared)
-            // split table, so every worker schedules the same edges.
-            let mut pending_seq = false; // unsplit writes since last edge
-            let mut pending_chunks = false; // chunk writes since last edge
-            for level in 0..prog.levels() {
-                let range = prog.level_ops(level);
-                if range.is_empty() {
-                    continue; // constants-only level: nothing scheduled
-                }
-                if split[level] {
-                    if pending_seq || pending_chunks {
-                        barrier.wait(threads); // seal writes chunks will read
-                        pending_seq = false;
-                    }
-                    let chunk = par_chunk(range, tid, threads);
-                    if !chunk.is_empty() {
-                        // SAFETY: chunks partition the level (disjoint dst
-                        // writes), operands live in earlier levels, and
-                        // the barrier edges order cross-thread access.
-                        unsafe { exec_chunk_full(prog, &arrays, inputs, ffs, masks, chunk) };
-                    }
-                    pending_chunks = true;
-                } else {
-                    if pending_chunks {
-                        barrier.wait(threads); // seal chunks worker 0 reads
-                        pending_chunks = false;
-                    }
-                    if tid == 0 {
-                        // SAFETY: only worker 0 touches unsplit levels,
-                        // and the edge above sealed any chunk operands.
-                        unsafe { exec_chunk_full(prog, &arrays, inputs, ffs, masks, range) };
-                    }
-                    pending_seq = true;
-                }
-            }
-            // Trailing writes are sealed by the job completion latch (or
-            // the scope join): the caller reads only after every worker
-            // has finished, so no closing barrier is needed.
-        };
-        pool::dispatch(self.pool.as_deref(), threads, worker);
-        self.stats.full_sweeps += 1;
-        self.stats.ops_executed += self.prog.len() as u64;
     }
 
     /// Clock edge: latches every DFF's `d` lane block into its state.
@@ -1473,10 +1191,6 @@ impl SimBackend for CompiledSim {
     fn eval_stats(&self) -> EvalStats {
         CompiledSim::eval_stats(self)
     }
-
-    fn set_eval_policy(&mut self, policy: EvalPolicy) {
-        CompiledSim::set_eval_policy(self, policy);
-    }
 }
 
 #[cfg(test)]
@@ -1570,8 +1284,8 @@ mod tests {
     fn wide_block_matches_chunked_64_lane_runs() {
         // A 256-lane sequential run must be bit-identical — values and
         // exact per-net toggle counts — to the same stimuli run as four
-        // chunked 64-lane sims. (The property tests sweep this across the
-        // full mode x threads x pool matrix; this is the fast pin.)
+        // chunked 64-lane sims. (The property tests sweep this across
+        // eval modes; this is the fast pin.)
         let nl = {
             let mut b = Builder::new();
             let ffs: Vec<NetId> = (0..6).map(|_| b.dff(false)).collect();
@@ -1840,9 +1554,9 @@ mod tests {
         }
     }
 
-    /// A mixed sequential/combinational circuit wide enough that several
-    /// levels hold multiple ops, so par-level chunking genuinely splits.
-    fn par_test_circuit() -> Netlist {
+    /// A mixed sequential/combinational circuit: a free-running counter
+    /// beside a 16-bit adder, so several levels hold multiple ops.
+    fn mixed_circuit() -> Netlist {
         let mut b = Builder::new();
         let ffs: Vec<NetId> = (0..6).map(|i| b.dff(i % 2 == 0)).collect();
         let one = crate::bus::constant(&mut b, 1, 6);
@@ -1883,7 +1597,7 @@ mod tests {
     /// one-word, partial-word, and multi-word lane widths.
     #[test]
     fn jit_mode_matches_full_sweep_bit_identically() {
-        let nl = par_test_circuit();
+        let nl = mixed_circuit();
         for lanes in [1usize, 2, 64, 100, 256] {
             let mut full = CompiledSim::with_lanes(&nl, lanes);
             full.set_eval_mode(EvalMode::FullSweep);
@@ -1903,7 +1617,7 @@ mod tests {
     /// Forcing the portable (non-BMI1) encodings must not change a bit.
     #[test]
     fn jit_without_bmi1_matches() {
-        let nl = par_test_circuit();
+        let nl = mixed_circuit();
         let mut full = CompiledSim::with_lanes(&nl, 64);
         full.set_eval_mode(EvalMode::FullSweep);
         let reference = run_schedule(full);
@@ -1923,7 +1637,7 @@ mod tests {
     /// the interpreter — same results, `jit_active()` reporting false.
     #[test]
     fn jit_code_cap_falls_back_to_interpreter() {
-        let nl = par_test_circuit();
+        let nl = mixed_circuit();
         let mut full = CompiledSim::with_lanes(&nl, 64);
         full.set_eval_mode(EvalMode::FullSweep);
         let reference = run_schedule(full);
@@ -1944,42 +1658,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_levels_are_bit_identical_in_every_mode() {
-        let nl = par_test_circuit();
-        for mode in [
-            EvalMode::FullSweep,
-            EvalMode::EventDriven,
-            EvalMode::Auto,
-            EvalMode::Jit,
-        ] {
-            let mut seq = CompiledSim::with_lanes(&nl, 64);
-            seq.set_eval_mode(mode);
-            let reference = run_schedule(seq);
-            for threads in [2usize, 3, 4] {
-                let mut par = CompiledSim::with_lanes(&nl, 64);
-                par.set_eval_mode(mode);
-                // min_par_ops: 1 forces real chunk splits on this small
-                // netlist (the default threshold would run it sequentially).
-                par.set_eval_policy(EvalPolicy {
-                    threads,
-                    min_par_ops: 1,
-                    ..EvalPolicy::seq()
-                });
-                let parallel = run_schedule(par);
-                assert_eq!(parallel.0, reference.0, "outputs {mode:?} x{threads}");
-                assert_eq!(parallel.1, reference.1, "toggles {mode:?} x{threads}");
-                // EvalStats coherence: the aggregated per-thread work
-                // counters equal the sequential evaluator's exactly.
-                assert_eq!(parallel.2, reference.2, "stats {mode:?} x{threads}");
-            }
-        }
-    }
-
-    #[test]
     fn parallel_auto_dense_fallback_aggregates_across_threads() {
         // Adder-only circuit (no quiescent FF cone): fresh per-lane values
         // every settle keep nearly every op dirty, as in
-        // `auto_mode_falls_back_to_full_sweeps_on_dense_stimulus`.
+        // `auto_mode_falls_back_to_full_sweeps_on_dense_stimulus`. Each
+        // shard takes its own dense-fallback decision; the merged
+        // counters must not depend on which thread settled which shard.
         let mut b = Builder::new();
         let x = b.input_bus("x", 8);
         let y = b.input_bus("y", 8);
@@ -1987,16 +1671,18 @@ mod tests {
         b.output_bus("sum", &sum);
         let nl = b.finish();
         let run_dense = |threads: usize| {
-            let mut sim = CompiledSim::with_lanes(&nl, 64);
-            if threads > 1 {
-                sim.set_eval_policy(EvalPolicy {
+            let mut sim = crate::sharded::ShardedSim::with_policy(
+                &nl,
+                crate::sharded::ShardPolicy {
+                    shards: 4,
+                    lanes_per_shard: 64,
                     threads,
-                    min_par_ops: 1,
-                    ..EvalPolicy::seq()
-                });
-            }
+                    lane_words: 1,
+                },
+            );
+            sim.set_eval_mode(EvalMode::Auto);
             for i in 0..8u64 {
-                for lane in 0..64 {
+                for lane in 0..256 {
                     sim.set_bus_lane("x", lane, i * 67 + lane as u64);
                     sim.set_bus_lane("y", lane, i * 31 + lane as u64 * 3);
                 }
@@ -2007,41 +1693,16 @@ mod tests {
         };
         let seq = run_dense(1);
         assert!(
-            seq.full_sweeps >= 7,
-            "dense stimulus must fall back: {seq:?}"
+            seq.full_sweeps >= 4 * 7,
+            "dense stimulus must fall back on every shard: {seq:?}"
         );
         for threads in [2, 4] {
             assert_eq!(
                 run_dense(threads),
                 seq,
-                "the dense-fallback decision must aggregate ops across threads"
+                "the dense-fallback decisions must aggregate across threads"
             );
         }
-    }
-
-    #[test]
-    fn par_threads_cap_spawns_no_useless_workers() {
-        let mut b = Builder::new();
-        let x = b.input("x");
-        let nx = b.not(x);
-        b.output("y", nx);
-        let nl = b.finish();
-        let mut sim = CompiledSim::new(&nl);
-        // 64 requested threads on a 2-op netlist: the widest level bounds
-        // the useful worker count, so the settle runs sequentially.
-        sim.par_levels(64);
-        assert_eq!(sim.par_threads(), 1);
-        sim.set_bus("x", 1);
-        sim.eval();
-        assert_eq!(sim.get_bus("y"), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_thread_eval_policy_rejected() {
-        let nl = par_test_circuit();
-        let mut sim = CompiledSim::new(&nl);
-        sim.par_levels(0);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | --- | --- | --- | --- |
 //! | `GATE_SIM_THREADS` | positive integer | auto | [`crate::ShardPolicy::auto`], CI property sweeps, [`crate::pool::WorkerPool::shared`] seeding |
 //! | `GATE_SIM_LANE_WORDS` | `1..=`[`MAX_LANE_WORDS`] | 4 | [`crate::ShardPolicy`] lane-block fusion width |
-//! | `GATE_SIM_POOL` | `0/1/true/false/on/off` | on | pool acquisition ([`crate::pool`]); off forces scoped-thread fallbacks |
 //! | `GATE_SIM_PROGRAM_CACHE` | `0/1/true/false/on/off` | on | the process-wide [`crate::cache::ProgramCache`]; off recompiles every construction |
 //! | `GATE_SIM_JIT` | `0/1/true/false/on/off` | unset | [`crate::jit`]: `1` makes [`crate::EvalMode::Jit`] the default eval mode; `0` disables codegen entirely (explicit `Jit` falls back to the interpreter); unset leaves the JIT available but opt-in |
 //! | `GATE_SIM_FAILPOINTS` | `<seed>:<site>=<rule>[@<arg>],...` | unset | [`crate::failpoints`] chaos schedules (parsed there, not here) — **only with the `failpoints` cargo feature**; in default builds the variable is ignored and the sites compile to nothing |
@@ -20,9 +19,8 @@
 //! "Environment knobs" section — keep the two in sync.
 //!
 //! The historical entry points (`netlist::env_threads`,
-//! `netlist::env_lane_words`, `netlist::pool::env_pool_enabled`) remain
-//! as re-exports, so existing callers and the CI matrix scripts keep
-//! working unchanged.
+//! `netlist::env_lane_words`) remain as re-exports, so existing callers
+//! and the CI matrix scripts keep working unchanged.
 
 use crate::compiled::MAX_LANE_WORDS;
 
@@ -58,19 +56,6 @@ pub fn lane_words() -> Option<usize> {
         Ok(n) if (1..=MAX_LANE_WORDS).contains(&n) => Some(n),
         _ => panic!("GATE_SIM_LANE_WORDS={v} is not an integer in 1..={MAX_LANE_WORDS}"),
     }
-}
-
-/// Whether simulators may acquire the shared worker pool, from the
-/// `GATE_SIM_POOL` environment variable. Unset or `1`/`true`/`on` means
-/// enabled; `0`/`false`/`off` disables the pool and forces the
-/// scoped-thread fallbacks (useful for A/B benches and as an escape
-/// hatch).
-///
-/// # Panics
-///
-/// Panics if the variable is set to anything else.
-pub fn pool_enabled() -> bool {
-    switch("GATE_SIM_POOL")
 }
 
 /// Whether `CompiledSim` construction may consult the process-wide

@@ -7,9 +7,8 @@
 //! opcode stream in structure-of-arrays layout: one opcode byte plus up to
 //! three operand net indices per op. The stream is what
 //! [`crate::compiled::CompiledSim`] executes 64 stimulus lanes at a time;
-//! the level boundaries are retained so parallel backends (e.g.
-//! [`crate::sharded::ShardedSim`]'s shards, or a future per-level
-//! evaluator) can exploit the recorded level structure.
+//! the level boundaries are retained for the event-driven worklist's
+//! level accounting and for [`crate::jit`]'s per-level lowering.
 //!
 //! [`Fanout::of`] derives a program's *fanout map*: for each net, the
 //! indices of the ops that read it. This is what lets
@@ -126,8 +125,7 @@ pub enum OpCode {
 ///
 /// All five arrays have one entry per op; unused operand slots are 0. Ops
 /// are stored level-major, so a forward sweep is a valid combinational
-/// settle and [`Program::level_ops`] exposes per-level slices for parallel
-/// execution strategies.
+/// settle and [`Program::level_ops`] exposes the per-level slices.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Opcode per op.
@@ -238,9 +236,8 @@ impl Program {
         self.bounds[level] as usize..self.bounds[level + 1] as usize
     }
 
-    /// Scheduled ops of the widest level — the upper bound on how much
-    /// intra-level parallelism ([`crate::compiled::EvalPolicy`]) the
-    /// schedule can ever exploit.
+    /// Scheduled ops of the widest level (a shape statistic: the full-ISA
+    /// RV32E core's widest level holds 864 ops).
     pub fn max_level_ops(&self) -> usize {
         (0..self.levels())
             .map(|l| self.level_ops(l).len())
@@ -321,25 +318,6 @@ impl Fanout {
         let n = net as usize;
         &self.ops[self.start[n] as usize..self.start[n + 1] as usize]
     }
-}
-
-/// The contiguous sub-range of `range` that worker `tid` of `threads`
-/// evaluates when a level is split for parallel evaluation.
-///
-/// The split is purely positional — `div_ceil`-sized chunks in op order —
-/// so it is deterministic for a fixed `(range, threads)` and the chunks
-/// partition `range` exactly (no op is evaluated twice or dropped).
-/// Whether a level is worth splitting at all is the caller's decision.
-pub(crate) fn par_chunk(
-    range: std::ops::Range<usize>,
-    tid: usize,
-    threads: usize,
-) -> std::ops::Range<usize> {
-    let n = range.len();
-    let chunk = n.div_ceil(threads);
-    let lo = range.start + (tid * chunk).min(n);
-    let hi = range.start + ((tid + 1) * chunk).min(n);
-    lo..hi
 }
 
 #[cfg(test)]
@@ -436,27 +414,6 @@ mod tests {
         // conversion must panic with an actionable message instead of
         // wrapping when a netlist exceeds the u32 index space.
         let _ = checked_u32(u32::MAX as usize + 1, "ops");
-    }
-
-    #[test]
-    fn par_chunks_partition_every_range_exactly() {
-        for (start, len) in [(0usize, 0usize), (3, 1), (10, 7), (0, 64), (100, 1000)] {
-            for threads in [1usize, 2, 3, 4, 7, 64] {
-                let range = start..start + len;
-                let mut covered = Vec::new();
-                for tid in 0..threads {
-                    let c = par_chunk(range.clone(), tid, threads);
-                    assert!(c.start >= range.start && c.end <= range.end);
-                    covered.extend(c);
-                }
-                // Exactly the range, each op once, in order.
-                assert_eq!(
-                    covered,
-                    range.collect::<Vec<_>>(),
-                    "{len} ops / {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

@@ -469,24 +469,19 @@ mod tests {
             ..ShardPolicy::single()
         };
         check_equivalence_with(&good, &opt, 130, 9, policy).unwrap();
-        // The scheduler and intra-shard parallel level evaluation are pure
-        // performance knobs: same verdicts under the deprecated static
-        // scheduler and with par-level workers inside each shard.
-        #[allow(deprecated)] // pins the deprecated scheduler as reference
-        let static_policy = ShardPolicy {
-            schedule: crate::sharded::ShardSchedule::Static,
-            par_levels: 2,
+        // A check issued from inside a pool job runs its shards on the
+        // scoped fallback threads (unfused, so three blocks share two
+        // threads); the verdicts cannot move.
+        let unfused = ShardPolicy {
+            lane_words: 1,
             ..policy
         };
-        check_equivalence_with(&good, &opt, 130, 9, static_policy).unwrap();
-        assert!(check_equivalence_with(&good, &bad, 100, 7, static_policy).is_err());
-        // So is the persistent-pool vs scoped-thread dispatch.
-        let scoped_policy = ShardPolicy {
-            use_pool: false,
-            ..policy
-        };
-        check_equivalence_with(&good, &opt, 130, 9, scoped_policy).unwrap();
-        assert!(check_equivalence_with(&good, &bad, 100, 7, scoped_policy).is_err());
+        crate::WorkerPool::new(1).run(2, |tid, _| {
+            if tid == 0 {
+                check_equivalence_with(&good, &opt, 130, 9, unfused).unwrap();
+                assert!(check_equivalence_with(&good, &bad, 100, 7, unfused).is_err());
+            }
+        });
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Persistent worker-pool runtime for parallel evaluation, with
 //! multi-job admission.
 //!
-//! Before this module existed, every parallel settle
-//! ([`crate::compiled::CompiledSim`] with an [`crate::EvalPolicy`] above
-//! one thread, [`crate::sharded::ShardedSim::par_shards`]) opened a fresh
-//! [`std::thread::scope`]: thread creation plus teardown cost hundreds of
-//! microseconds per settle and dominated small-netlist workloads by ~85×
-//! (see `BENCH_baseline.json`'s pre-pool `compiled_64_lanes_par{2,4}`
-//! rows). A [`WorkerPool`] keeps a set of parked OS threads alive across
-//! settles instead, so submitting a parallel settle costs a handful of
-//! atomic operations — and, when settles come back-to-back (a processor
-//! cycle loop), not even a wakeup, because workers spin briefly before
-//! parking and are still hot when the next job lands.
+//! Every multi-threaded evaluation ([`crate::sharded::ShardedSim`]'s
+//! per-settle [`eval`](crate::sharded::ShardedSim::eval) and batched
+//! [`par_shards`](crate::sharded::ShardedSim::par_shards), and through
+//! them `hwlib`'s verification sweeps and mutation campaigns) runs as a
+//! job on a [`WorkerPool`]. Opening a fresh [`std::thread::scope`] per
+//! settle instead costs hundreds of microseconds of thread creation and
+//! teardown; the pool keeps a set of parked OS threads alive across
+//! settles, so submitting a job costs a handful of atomic operations —
+//! and, when settles come back-to-back, not even a wakeup, because
+//! workers spin briefly before parking and are still hot when the next
+//! job lands.
 //!
 //! # The job table
 //!
@@ -52,8 +52,10 @@
 //! (jobs on one slot are serialized by the busy flag, which is also what
 //! makes the slot's embedded [`SpinBarrier`] safely reusable). Claimed
 //! tids are unique, which is what lets jobs hand workers *positional*
-//! work (contiguous level chunks in `crate::level`, shard-index claims)
-//! with disjoint writes and no locks.
+//! work with disjoint writes and no locks. (The shard scheduler itself
+//! claims shard indices off its own counter and ignores the barrier;
+//! the barrier and the commitment counter remain part of the public job
+//! contract, `Fn(tid, &SpinBarrier)`.)
 //!
 //! # Wakeup and parking
 //!
@@ -106,11 +108,12 @@
 //! needs sum past the roster), and is reference-counted by the simulators
 //! holding it: dropping the last handle joins every worker thread — no
 //! detached threads survive (regression-tested in
-//! `crates/netlist/tests/pool_lifecycle.rs`). `GATE_SIM_POOL=0` disables
-//! pool acquisition entirely, forcing the scoped-thread fallback paths.
+//! `crates/netlist/tests/pool_lifecycle.rs`).
 //!
+//! Scoped threads survive only as the internal fallback for a submission
+//! issued from inside another job ([`in_job`]) and for a full job table.
 //! Results are bit-identical to the scoped and sequential paths by
-//! construction — the pool only changes *who executes* a chunk, never
+//! construction — the pool only changes *who executes* a shard, never
 //! what it reads or writes (`docs/simulation.md` § "Simulation as a
 //! service").
 
@@ -286,18 +289,13 @@ fn single_cpu() -> bool {
     }) == 1
 }
 
-/// Whether simulators may acquire the shared pool (the `GATE_SIM_POOL`
-/// knob). Historical entry point for [`crate::env::pool_enabled`]; all
-/// the `GATE_SIM_*` parsing now lives in [`crate::env`].
-pub use crate::env::pool_enabled as env_pool_enabled;
-
 /// A reusable sense-reversing barrier over two atomics.
 ///
 /// Unlike [`std::sync::Barrier`] the participant count is a call-site
 /// argument, so one barrier instance (embedded in a job slot, or on a
 /// scoped caller's stack) serves every job without per-settle allocation,
-/// and waiters spin-then-yield instead of taking a mutex — a level
-/// boundary inside a settle is far too short-lived for futex round trips.
+/// and waiters spin-then-yield instead of taking a mutex — a phase
+/// boundary inside a job is far too short-lived for futex round trips.
 ///
 /// Every participant of an episode must call [`SpinBarrier::wait`] with
 /// the same `total`; episodes complete fully (count returns to zero)
@@ -513,7 +511,7 @@ struct JobSlot {
     /// The submitting thread, for the completion unpark. Written only by
     /// the slot owner.
     caller: Mutex<Option<Thread>>,
-    /// The level barrier this slot's jobs use; reusable because jobs on
+    /// The phase barrier this slot's jobs use; reusable because jobs on
     /// one slot are serialized by `busy`.
     barrier: SpinBarrier,
 }

@@ -7,9 +7,13 @@
 //! reason. The `GATE_SIM_THREADS={1,2,4}` CI matrix runs this file at
 //! each thread count, so the join-on-drop guarantee is exercised with
 //! real concurrency at every shape.
+//!
+//! Simulators hold the pool through [`ShardedSim`]: a sharded simulator
+//! acquires it when its thread count (clamped to its physical shard
+//! count) exceeds one.
 
 use netlist::pool::{alive_workers, WorkerPool};
-use netlist::{Builder, CompiledSim, EvalPolicy, Netlist, ShardPolicy, ShardedSim, Sim};
+use netlist::{Builder, Netlist, ShardPolicy, ShardedSim, Sim};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes the tests in this binary: each one asserts on the
@@ -20,17 +24,24 @@ fn pool_mutex() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// True when `GATE_SIM_POOL=0` disabled pool acquisition: there is no
-/// roster to assert on, so the census tests vacuously pass (the
-/// scoped-fallback *results* are covered by the property suite).
-fn pool_disabled() -> bool {
-    !netlist::pool::env_pool_enabled()
-}
-
 /// The thread count the CI matrix asked for, with a multi-threaded
 /// default so the pool genuinely spawns when the variable is unset.
 fn matrix_threads() -> usize {
     netlist::env_threads().unwrap_or(2)
+}
+
+/// A pooled simulator: `threads` unfused 64-lane shards (one per thread,
+/// so the clamp keeps every thread).
+fn pooled(nl: &Netlist, threads: usize) -> ShardedSim {
+    ShardedSim::with_policy(
+        nl,
+        ShardPolicy {
+            shards: threads,
+            lanes_per_shard: 64,
+            threads,
+            lane_words: 1,
+        },
+    )
 }
 
 fn counter(bits: usize) -> Netlist {
@@ -49,20 +60,12 @@ fn counter(bits: usize) -> Netlist {
 /// no detached threads survive, at any `GATE_SIM_THREADS` shape.
 #[test]
 fn dropping_the_last_sim_joins_all_workers() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let threads = matrix_threads().max(2);
     let before = alive_workers();
     let nl = counter(6);
     {
-        let mut comp = CompiledSim::with_lanes(&nl, 64);
-        comp.set_eval_policy(EvalPolicy {
-            threads,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
+        let mut blocks = pooled(&nl, threads);
         let mut sharded = ShardedSim::with_policy(
             &nl,
             ShardPolicy {
@@ -73,8 +76,8 @@ fn dropping_the_last_sim_joins_all_workers() {
             },
         );
         for _ in 0..5 {
-            comp.eval();
-            comp.step();
+            blocks.eval();
+            blocks.step();
             sharded.eval();
             sharded.step();
         }
@@ -82,12 +85,11 @@ fn dropping_the_last_sim_joins_all_workers() {
             alive_workers() >= before + threads - 1,
             "pooled policies must have spawned workers"
         );
-        // A clone shares the pool handle; dropping the original must not
-        // tear the pool down under the clone.
-        let clone = comp.clone();
-        drop(comp);
+        // Each simulator holds its own handle; dropping one must not
+        // tear the pool down under the other.
+        drop(blocks);
         assert!(alive_workers() >= before + threads - 1);
-        drop(clone);
+        sharded.eval();
         drop(sharded);
     }
     // All simulators are gone: WorkerPool::drop has joined every thread
@@ -104,25 +106,12 @@ fn dropping_the_last_sim_joins_all_workers() {
 /// instance rather than spawning a second roster.
 #[test]
 fn concurrent_sims_share_one_pool_instance() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl = counter(4);
-    let mut a = CompiledSim::with_lanes(&nl, 64);
-    a.set_eval_policy(EvalPolicy {
-        threads: 2,
-        min_par_ops: 1,
-        ..EvalPolicy::seq()
-    });
+    let a = pooled(&nl, 2);
     let spawned_for_a = alive_workers() - before;
-    let mut b = CompiledSim::with_lanes(&nl, 64);
-    b.set_eval_policy(EvalPolicy {
-        threads: 2,
-        min_par_ops: 1,
-        ..EvalPolicy::seq()
-    });
+    let b = pooled(&nl, 2);
     assert_eq!(
         alive_workers() - before,
         spawned_for_a,
@@ -138,39 +127,45 @@ fn concurrent_sims_share_one_pool_instance() {
     assert_eq!(alive_workers(), before);
 }
 
-/// Growing a policy grows the shared roster in place; shrinking parks
-/// the surplus instead of churning threads, and results stay exact
-/// throughout (the bit-identity half is property-tested — here we pin
-/// the roster census and a smoke-check of the values).
+/// Growing a simulator's thread count ([`ShardedSim::set_threads`])
+/// grows the shared roster in place; shrinking parks the surplus instead
+/// of churning threads, and results stay exact throughout (the
+/// bit-identity half is property-tested — here we pin the roster census
+/// and a smoke-check of the values).
 #[test]
 fn resize_grows_in_place_and_shrink_parks_workers() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl = counter(8);
     let mut reference = Sim::new(&nl);
-    let mut sim = CompiledSim::new(&nl);
+    // Four single-lane shards, so every thread count up to 4 survives the
+    // clamp.
+    let mut sim = ShardedSim::with_policy(
+        &nl,
+        ShardPolicy {
+            shards: 4,
+            lanes_per_shard: 1,
+            threads: 1,
+            ..ShardPolicy::single()
+        },
+    );
     let mut census_high = 0;
     // The schedule never passes back through 1 thread: a sequential
-    // policy releases the pool handle outright (covered by
+    // simulator releases the pool handle outright (covered by
     // `sequential_policies_keep_no_workers`), which would churn the
     // roster this test pins as stable across shrinks.
     for (cycle, threads) in [1usize, 4, 2, 4, 3].into_iter().enumerate() {
-        sim.set_eval_policy(EvalPolicy {
-            threads,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
+        sim.set_threads(threads);
         census_high = census_high.max(alive_workers() - before);
         reference.eval();
         sim.eval();
-        assert_eq!(
-            sim.get_bus("count"),
-            reference.get_bus("count"),
-            "cycle {cycle} under {threads} threads"
-        );
+        for lane in 0..4 {
+            assert_eq!(
+                sim.get_bus_lane("count", lane),
+                reference.get_bus_u64("count"),
+                "cycle {cycle} under {threads} threads"
+            );
+        }
         reference.step();
         sim.step();
     }
@@ -189,18 +184,14 @@ fn resize_grows_in_place_and_shrink_parks_workers() {
 
 /// Regression: evaluators nested *two* levels below a pool job must keep
 /// falling back to scoped threads. The chain is: a pooled `par_shards`
-/// job → a second `ShardedSim` evaluated inside it (falls back to scoped
-/// stealing threads, which must inherit the in-job flag) → that sim's
-/// shards settling with a pooled `par_levels` policy. Before the flag
-/// was inherited by scoped fallback threads, the innermost settle saw a
-/// fresh thread-local, submitted to the pool, and deadlocked on the
-/// submit lock the outermost job still holds — this test hung instead
-/// of passing.
+/// job → a threaded `ShardedSim` evaluated inside it (falls back to
+/// scoped stealing threads, which must inherit the in-job flag) → a
+/// third threaded `ShardedSim` evaluated on those scoped threads. Before
+/// the flag was inherited by scoped fallback threads, the innermost
+/// evaluation saw a fresh thread-local, submitted to the pool, and could
+/// deadlock waiting for workers the outermost job still holds.
 #[test]
 fn nested_evaluators_fall_back_instead_of_deadlocking() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let nl = counter(5);
     let mut outer = ShardedSim::with_policy(
@@ -213,21 +204,23 @@ fn nested_evaluators_fall_back_instead_of_deadlocking() {
         },
     );
     let inner_nl = counter(4);
+    let two_threads = ShardPolicy {
+        shards: 2,
+        lanes_per_shard: 1,
+        threads: 2,
+        ..ShardPolicy::single()
+    };
     let cycles = outer.par_shards(|_, shard| {
-        let mut inner = ShardedSim::with_policy(
-            &inner_nl,
-            ShardPolicy {
-                shards: 2,
-                lanes_per_shard: 1,
-                threads: 2,
-                par_levels: 2,
-                ..ShardPolicy::single()
-            },
-        );
-        inner.set_eval_policy(EvalPolicy {
-            threads: 2,
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
+        let mut inner = ShardedSim::with_policy(&inner_nl, two_threads);
+        let innermost = inner.par_shards(|_, inner_shard| {
+            let mut innermost = ShardedSim::with_policy(&inner_nl, two_threads);
+            for _ in 0..3 {
+                innermost.eval();
+                innermost.step();
+                inner_shard.eval();
+                inner_shard.step();
+            }
+            (innermost.cycles(), innermost.get_bus_lane("count", 0))
         });
         for _ in 0..3 {
             inner.eval();
@@ -235,10 +228,13 @@ fn nested_evaluators_fall_back_instead_of_deadlocking() {
             shard.eval();
             shard.step();
         }
-        (inner.cycles(), inner.get_bus_lane("count", 0))
+        (inner.cycles(), inner.get_bus_lane("count", 0), innermost)
     });
-    // 3 stepped cycles; the last settle published the count of cycle 2.
-    assert_eq!(cycles, vec![(3, 2), (3, 2)]);
+    // Each inner sim's shards stepped 3 cycles inside its own
+    // `par_shards` job and 3 more after it; every last settle published
+    // the count of the cycle before it.
+    let innermost = vec![(3, 2), (3, 2)];
+    assert_eq!(cycles, vec![(6, 5, innermost.clone()), (6, 5, innermost)]);
 }
 
 /// Multi-job admission: two threads submit independent pooled
@@ -251,20 +247,12 @@ fn nested_evaluators_fall_back_instead_of_deadlocking() {
 /// end to end through the public simulator API.)
 #[test]
 fn concurrent_admissions_are_deterministic_and_leak_free() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl_a = counter(8);
     let nl_b = counter(6);
     let run = |nl: &Netlist, cycles: usize| {
-        let mut sim = CompiledSim::with_lanes(nl, 128);
-        sim.set_eval_policy(EvalPolicy {
-            threads: matrix_threads().max(2),
-            min_par_ops: 1,
-            ..EvalPolicy::seq()
-        });
+        let mut sim = pooled(nl, matrix_threads().max(2));
         for _ in 0..cycles {
             sim.eval();
             sim.step();
@@ -304,33 +292,46 @@ fn concurrent_admissions_are_deterministic_and_leak_free() {
     );
 }
 
-/// A sequential policy holds no pool handle at all: purely sequential
-/// simulators never spawn (or keep alive) a single worker thread.
+/// A sequential simulator holds no pool handle at all: purely sequential
+/// simulators never spawn (or keep alive) a single worker thread — and
+/// neither does a threaded policy whose shards fuse into one block.
 #[test]
 fn sequential_policies_keep_no_workers() {
-    if pool_disabled() {
-        return;
-    }
     let _guard = pool_mutex();
     let before = alive_workers();
     let nl = counter(5);
-    let mut sim = CompiledSim::with_lanes(&nl, 64);
+    let mut sim = pooled(&nl, 1);
     for _ in 0..3 {
         sim.eval();
         sim.step();
     }
+    assert_eq!(alive_workers(), before, "one thread spawns nothing");
+    // Four 64-lane shards fused into one 256-lane block: the clamp leaves
+    // one thread, so the policy's two threads acquire nothing.
+    let mut fused = ShardedSim::with_policy(
+        &nl,
+        ShardPolicy {
+            shards: 4,
+            lanes_per_shard: 64,
+            threads: 2,
+            lane_words: 4,
+        },
+    );
+    fused.eval();
+    assert_eq!(fused.thread_count(), 1);
+    assert_eq!(
+        alive_workers(),
+        before,
+        "a fused single block spawns nothing"
+    );
     // Going parallel then back to sequential releases the handle.
-    sim.set_eval_policy(EvalPolicy {
-        threads: 2,
-        min_par_ops: 1,
-        ..EvalPolicy::seq()
-    });
+    sim = pooled(&nl, 2);
     sim.eval();
-    sim.set_eval_policy(EvalPolicy::seq());
+    sim.set_threads(1);
     sim.eval();
     assert_eq!(
         alive_workers(),
         before,
-        "a policy back at seq() must have released the pool"
+        "a simulator back at one thread must have released the pool"
     );
 }
