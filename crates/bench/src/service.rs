@@ -4,8 +4,8 @@
 //! (verify this core, evaluate that mutant) and the runtime answers them
 //! out of two shared resources — the process-wide
 //! [`netlist::ProgramCache`] (compiled programs keyed by netlist content)
-//! and the multi-job worker pool (concurrent submissions claim disjoint
-//! worker subsets). This module measures that service under the classic
+//! and the shared worker pool (each submitter runs its own job with
+//! whichever workers are idle). This module measures that service under the classic
 //! YCSB load mixes:
 //!
 //! * a **read** is a functional verify of a library core — the netlist
@@ -19,7 +19,7 @@
 //! workload B (read-heavy), `0.5/0.5` is workload A (update-heavy), and
 //! so on. [`run_service`] drives the chosen mix from several concurrent
 //! submitter threads — each read submits pool jobs, so independent
-//! submissions exercise the job-table admission path — and reports
+//! submissions share the pool concurrently — and reports
 //! jobs/sec plus the cache-hit profile.
 
 use hwlib::mutate::{mutants_of, Mutant};
@@ -124,14 +124,13 @@ pub struct ServiceConfig {
     /// The read/update proportions.
     pub mix: ServiceMix,
     /// Concurrent submitter threads (each is an independent service
-    /// client; > 1 exercises multi-job pool admission).
+    /// client; > 1 exercises concurrent pool submission).
     pub submitters: usize,
     /// Ops issued per submitter.
     pub ops_per_submitter: usize,
     /// Worker threads per read's shard policy. At >= 2 every read submits
-    /// a real pool job, so concurrent submitters contend on the job table
-    /// rather than on a serializing submit lock. Updates settle one
-    /// 64-lane block on the submitting thread.
+    /// a real pool job, so concurrent submitters share the pool's workers.
+    /// Updates settle one 64-lane block on the submitting thread.
     pub threads: usize,
     /// Seed for the deterministic per-submitter op sequence.
     pub seed: u64,

@@ -38,8 +38,7 @@ use crate::mutate::{mutants_of, observability_probes, CoverageReport, Mutant, Mu
 use crate::verify::{arch_test_vectors, read_outputs_lane};
 use crate::{HwLibrary, InstrBlock};
 use netlist::compiled::{CompiledSim, LANES_PER_WORD, MAX_TOTAL_LANES};
-use netlist::pool::{self, WorkerPool};
-use netlist::{Builder, Gate, NetId, Netlist};
+use netlist::{Builder, Gate, NetId, Netlist, WorkerPool};
 use riscv_isa::semantics::{block_semantics, BlockInputs};
 use riscv_isa::Mnemonic;
 use std::collections::BTreeMap;
@@ -331,7 +330,7 @@ pub fn library_mutation_coverage(lib: &HwLibrary, cfg: &CampaignConfig) -> Vec<B
         report: lane_mutation_coverage(block, cfg.limit, cfg.seed, cfg.lanes),
     };
     let threads = cfg.threads.max(1).min(blocks.len().max(1));
-    if threads == 1 || pool::in_job() {
+    if threads == 1 {
         return blocks.into_iter().map(run).collect();
     }
     // Worker-pool fan-out: workers claim block indices off one atomic
@@ -342,7 +341,7 @@ pub fn library_mutation_coverage(lib: &HwLibrary, cfg: &CampaignConfig) -> Vec<B
     let slots: Vec<Mutex<Option<BlockCoverage>>> =
         blocks.iter().map(|_| Mutex::new(None)).collect();
     let pool = WorkerPool::shared(threads - 1);
-    pool.run(threads, |_tid, _barrier| loop {
+    pool.run(threads, |_tid, _participants| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(block) = blocks.get(i) else { break };
         *slots[i].lock().unwrap() = Some(run(block));

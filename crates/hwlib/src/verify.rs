@@ -355,9 +355,9 @@ pub fn formal_verify(block: &InstrBlock, samples: usize, seed: u64) -> Result<()
 
 /// [`formal_verify`] under an explicit shard policy: each settle packs
 /// `policy.total_lanes()` random vectors and the shards evaluate on
-/// `policy.threads` scoped threads. The stimulus sequence depends only on
-/// `seed`, so for a fixed policy shape the verdict is deterministic and
-/// independent of the thread count.
+/// `policy.threads` threads of the worker pool. The stimulus sequence
+/// depends only on `seed`, so for a fixed policy shape the verdict is
+/// deterministic and independent of the thread count.
 ///
 /// # Errors
 ///
@@ -579,10 +579,9 @@ mod tests {
 
     #[test]
     fn verification_is_thread_count_and_nesting_independent() {
-        // The thread count and the pool-vs-scoped dispatch (a sweep issued
-        // from inside a pool job runs its shards on scoped threads) are
-        // pure performance choices: verdicts and first failing vectors
-        // cannot move.
+        // The thread count and nesting (a sweep issued from inside a pool
+        // job submits a nested job) are pure performance choices:
+        // verdicts and first failing vectors cannot move.
         let wrong = InstrBlock {
             mnemonic: Mnemonic::Add,
             netlist: build_block(Mnemonic::Sub),

@@ -1,7 +1,6 @@
 //! Deterministic, seeded fault injection for chaos testing.
 //!
-//! The runtime has many fallback paths — worker-panic recovery in the
-//! [`crate::pool`], forced misses and evictions in the
+//! The runtime has fallback paths — forced misses and evictions in the
 //! [`crate::cache::ProgramCache`], `mmap` refusal and emit overflow in
 //! the [`crate::jit`] — that are only reachable in production when
 //! something actually goes wrong. This module makes them reachable on
@@ -36,43 +35,29 @@
 //!   only the first / the first N hits of the site.
 //! * `N%` — fire pseudo-randomly on about N% of hits; the decision for
 //!   hit *k* is a pure function of `(seed, site, k)`.
-//! * `@<arg>` — optional site argument (e.g. a delay in milliseconds
-//!   for the latency sites, an errno for `jit::map`). Defaults to 0;
-//!   each site documents how it interprets the argument.
+//! * `@<arg>` — optional site argument (e.g. an errno for `jit::map`).
+//!   Defaults to 0; each site documents how it interprets the argument.
 //!
-//! Example: `GATE_SIM_FAILPOINTS=7:pool::worker_doze=10%@2,jit::map=always`
+//! Example: `GATE_SIM_FAILPOINTS=7:cache::miss=10%,jit::map=always@12`
 //!
 //! # Injection sites
 //!
 //! | site                  | effect when it fires                                        |
 //! |-----------------------|-------------------------------------------------------------|
-//! | `pool::worker_panic`  | worker panics *inside* the job closure (captured payload)   |
-//! | `pool::worker_loss`   | worker thread dies *outside* the catch — exercises respawn  |
-//! | `pool::worker_doze`   | worker sleeps `arg` ms before scanning the job table        |
-//! | `pool::stalled_claim` | worker sleeps `arg` ms between descriptor read and claim CAS|
 //! | `cache::miss`         | program-cache lookup reports a miss even on a hit           |
 //! | `cache::evict`        | program-cache insert immediately evicts the LRU entry       |
 //! | `jit::map`            | `ExecBuf::new` fails with `MapError::Map(arg)` (0 → ENOMEM) |
 //! | `jit::emit`           | `jit::compile` fails with a synthesized `CodeTooLarge`      |
 //!
 //! All sites are *soft*: every one lands on a path the runtime already
-//! survives (typed error, silent fallback, or recovery), which is
-//! exactly the property the chaos axis asserts.
+//! survives (typed error or silent fallback), which is exactly the
+//! property the chaos axis asserts.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Every failpoint site compiled into the runtime. Parse-time
 /// validation rejects any site not in this list.
-pub const SITES: &[&str] = &[
-    "pool::worker_panic",
-    "pool::worker_loss",
-    "pool::worker_doze",
-    "pool::stalled_claim",
-    "cache::miss",
-    "cache::evict",
-    "jit::map",
-    "jit::emit",
-];
+pub const SITES: &[&str] = &["cache::miss", "cache::evict", "jit::map", "jit::emit"];
 
 /// Should `site` fire now? `None` means "do not fire"; `Some(arg)`
 /// carries the site's `@` argument (0 when omitted).
@@ -321,13 +306,13 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_grammar() {
-        let plan = Plan::parse("0x2a:pool::worker_doze=10%@2,jit::map=always,cache::miss=first3");
+        let plan = Plan::parse("0x2a:cache::evict=10%@2,jit::map=always,cache::miss=first3");
         assert_eq!(plan.seed, 42);
         assert_eq!(
             plan.clauses,
             vec![
                 Clause {
-                    site: "pool::worker_doze",
+                    site: "cache::evict",
                     rule: Rule::Percent(10),
                     arg: 2
                 },
@@ -344,7 +329,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            Plan::parse("7:pool::worker_panic=once").clauses[0].rule,
+            Plan::parse("7:jit::emit=once").clauses[0].rule,
             Rule::First(1)
         );
         assert_eq!(
@@ -356,21 +341,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown failpoint site")]
     fn parse_rejects_unknown_sites() {
-        Plan::parse("1:pool::nonsense=always");
+        Plan::parse("1:cache::nonsense=always");
     }
 
     #[test]
     #[should_panic(expected = "missing `:`")]
     fn parse_rejects_missing_seed() {
-        Plan::parse("worker_panic=always");
+        Plan::parse("miss=always");
     }
 
     #[test]
     #[should_panic(expected = "seed must be a decimal or 0x-prefixed u64")]
     fn parse_rejects_spec_without_a_seed_prefix() {
-        // `pool::worker_panic` splits at its own first colon: the "seed"
-        // is the word `pool`, which must be rejected loudly.
-        Plan::parse("pool::worker_panic=always");
+        // `cache::miss` splits at its own first colon: the "seed" is the
+        // word `cache`, which must be rejected loudly.
+        Plan::parse("cache::miss=always");
     }
 
     #[test]
@@ -398,7 +383,7 @@ mod tests {
         assert_eq!(fire("jit::map"), Some(12));
         assert_eq!(fire("jit::map"), None, "first2 stops after two hits");
         assert_eq!(fire("cache::evict"), None);
-        assert_eq!(fire("pool::worker_panic"), None, "unarmed sites never fire");
+        assert_eq!(fire("jit::emit"), None, "unarmed sites never fire");
         // The percent site replays exactly from the coin.
         let got: Vec<bool> = (0..64).map(|_| fire("cache::miss").is_some()).collect();
         let want: Vec<bool> = (0..64)

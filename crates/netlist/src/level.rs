@@ -235,15 +235,6 @@ impl Program {
     pub fn level_ops(&self, level: usize) -> std::ops::Range<usize> {
         self.bounds[level] as usize..self.bounds[level + 1] as usize
     }
-
-    /// Scheduled ops of the widest level (a shape statistic: the full-ISA
-    /// RV32E core's widest level holds 864 ops).
-    pub fn max_level_ops(&self) -> usize {
-        (0..self.levels())
-            .map(|l| self.level_ops(l).len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A program's fanout map in CSR form: for each net, the ascending
@@ -414,15 +405,6 @@ mod tests {
         // conversion must panic with an actionable message instead of
         // wrapping when a netlist exceeds the u32 index space.
         let _ = checked_u32(u32::MAX as usize + 1, "ops");
-    }
-
-    #[test]
-    fn max_level_ops_matches_widest_level() {
-        let nl = sample();
-        let p = Program::compile(&nl);
-        let widest = (0..p.levels()).map(|l| p.level_ops(l).len()).max().unwrap();
-        assert_eq!(p.max_level_ops(), widest);
-        assert!(widest >= 1);
     }
 
     #[test]

@@ -30,12 +30,12 @@
 //!   disjoint stimulus lanes, merged bit-identically regardless of
 //!   thread count or block width.
 //! * [`pool`] — the persistent worker-pool runtime behind every parallel
-//!   evaluation path: parked OS threads reused across settles, a
-//!   generation-stamped job protocol, and lock-free shard claiming off
-//!   an atomic counter.
+//!   evaluation path: parked OS threads reused across settles that help
+//!   each submitter run its job, and lock-free shard claiming off an
+//!   atomic counter.
 //! * [`failpoints`] — feature-gated deterministic fault injection
-//!   (`GATE_SIM_FAILPOINTS`): seeded schedules that force worker
-//!   panics, cache misses/evictions, and JIT failures so the fallback
+//!   (`GATE_SIM_FAILPOINTS`): seeded schedules that force cache
+//!   misses/evictions and JIT failures so the fallback
 //!   paths above are exercised on purpose (`docs/robustness.md`).
 //! * [`opt`] — "synthesis": re-cons, constant-fold and sweep a netlist.
 //! * [`stats`] — NAND2-equivalent gate counting exactly as the paper's
@@ -109,7 +109,7 @@ pub use compiled::{
     word_lane_mask, CompiledSim, EvalMode, LANES_PER_WORD, MAX_LANE_WORDS, MAX_TOTAL_LANES,
 };
 pub use jit::{JitOptions, JitProgram};
-pub use pool::{JobError, JobOptions, WorkerPool};
+pub use pool::{JobError, WorkerPool};
 pub use sharded::{ShardPolicy, ShardedSim};
 pub use sim::{EvalStats, Sim, SimBackend};
 

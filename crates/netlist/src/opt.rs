@@ -248,11 +248,11 @@ pub fn check_equivalence(
 /// `policy.total_lanes()` random vectors (up to `lane_words * 64` per
 /// fused lane block) and the shards of
 /// both netlists evaluate on `policy.threads` workers of the persistent
-/// [`crate::pool::WorkerPool`] (or scoped threads on the fallback paths).
+/// [`crate::pool::WorkerPool`].
 ///
 /// The random vector sequence depends only on `seed` and
 /// `policy.total_lanes()` — never on the thread count, the scheduler, or
-/// the pool/scoped dispatch — so the verdict is deterministic for a
+/// nesting inside another pool job — so the verdict is deterministic for a
 /// fixed policy shape.
 ///
 /// # Errors
@@ -469,9 +469,9 @@ mod tests {
             ..ShardPolicy::single()
         };
         check_equivalence_with(&good, &opt, 130, 9, policy).unwrap();
-        // A check issued from inside a pool job runs its shards on the
-        // scoped fallback threads (unfused, so three blocks share two
-        // threads); the verdicts cannot move.
+        // A check issued from inside a pool job submits a nested job
+        // (unfused, so three blocks share two threads); the verdicts
+        // cannot move.
         let unfused = ShardPolicy {
             lane_words: 1,
             ..policy

@@ -37,13 +37,12 @@
 //!
 //! Idle workers claim the next shard index off a single atomic counter —
 //! work stealing with no queue and no lock. Evaluation runs on the shared
-//! [`crate::pool::WorkerPool`]; a call issued from inside another pool
-//! job runs the same claim loop on per-call scoped threads instead (a
-//! nested submission could starve its ancestors of workers), with
-//! bit-identical results.
+//! [`crate::pool::WorkerPool`], where the calling thread claims shards
+//! too, so a call issued from inside another pool job needs no fallback
+//! path and gives bit-identical results.
 
 use crate::compiled::{CompiledSim, EvalMode, LANES_PER_WORD, MAX_LANE_WORDS};
-use crate::pool::{self, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::sim::{EvalStats, SimBackend};
 use crate::{NetId, Netlist};
 use std::cell::OnceCell;
@@ -303,8 +302,7 @@ impl ShardedSim {
     }
 
     /// Runs `f(shard_index, shard)` for every shard, spread over the
-    /// configured threads as one job on the persistent worker pool (or
-    /// one scoped-thread batch when called from inside a pool job), and
+    /// configured threads as one job on the persistent worker pool, and
     /// returns the results in shard order.
     ///
     /// This is the batched entry point: putting a whole settle schedule
@@ -348,8 +346,8 @@ impl ShardedSim {
         /// Index `i` of both arrays is touched only by the worker whose
         /// `next.fetch_add(1)` returned `i` — the counter hands out each
         /// index exactly once — so all concurrent access is
-        /// index-disjoint, and the job's completion edge (pool latch or
-        /// scope join) orders every slot write before the caller's reads.
+        /// index-disjoint, and the job's completion edge (every tid
+        /// counted done) orders every slot write before the caller's reads.
         struct StealArena<R> {
             shards: *mut CompiledSim,
             results: *mut Option<R>,
@@ -362,7 +360,11 @@ impl ShardedSim {
             shards: self.shards.as_mut_ptr(),
             results: results.as_mut_ptr(),
         };
-        let worker = |_tid: usize, _barrier: &pool::SpinBarrier| loop {
+        let pool = self
+            .pool
+            .as_deref()
+            .expect("a sharded sim with threads > 1 holds the pool");
+        pool.run(threads, |_tid, _participants| loop {
             // Capture the whole arena, not its raw-pointer fields: the
             // `Sync` contract lives on the struct (edition-2021 closures
             // would otherwise capture the pointers disjointly).
@@ -377,16 +379,14 @@ impl ShardedSim {
             // SAFETY: same claim; the slot was preset to None by the
             // caller and is read back only after the job completes.
             unsafe { *arena.results.add(i) = Some(r) };
-        };
-        pool::dispatch(self.pool.as_deref(), threads, worker);
+        });
         results
             .into_iter()
             .map(|r| r.expect("every shard index claimed exactly once"))
             .collect()
     }
 
-    /// Settles all combinational logic on every shard (one pool job, or
-    /// one thread scope when nested inside a pool job).
+    /// Settles all combinational logic on every shard (one pool job).
     pub fn eval(&mut self) {
         self.par_shards(|_, s| s.eval());
     }

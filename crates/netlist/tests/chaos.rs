@@ -1,5 +1,5 @@
-//! The chaos property axis: bit-identity and typed-failure contracts
-//! under seeded failpoint schedules (`docs/robustness.md`).
+//! The chaos property axis: the bit-identity contract under seeded
+//! failpoint schedules (`docs/robustness.md`).
 //!
 //! Every test here holds [`failpoints::exclusive`] for its whole body —
 //! schedules are process-global — and installs its own [`Plan`], so the
@@ -9,21 +9,10 @@
 //! when present so each matrix leg genuinely exercises different fire
 //! patterns.
 //!
-//! Two invariants are pinned:
-//!
-//! * **Bit-identity** — latency, cache, and JIT chaos may change *how*
-//!   a result is computed (which worker, recompiled or cached, native
-//!   or interpreted) but never the result: outputs, FF state, and exact
-//!   toggle counts must match the interpreted [`Sim`] ground truth.
-//! * **Typed failure** — pool chaos (injected panics, lost worker
-//!   threads, expired deadlines) must surface as the documented
-//!   [`JobError`] values and leave the pool serving the next job at
-//!   full width.
-//!
-//! `pool::worker_panic` / `pool::worker_loss` are deliberately excluded
-//! from the bit-identity schedules ([`benign`]): a participant that
-//! dies can never produce a bit-identical settle — those sites get the
-//! dedicated typed-failure tests instead.
+//! The invariant pinned is **bit-identity**: cache and JIT chaos may
+//! change *how* a result is computed (recompiled or cached, native or
+//! interpreted) but never the result: outputs, FF state, and exact
+//! toggle counts must match the interpreted [`Sim`] ground truth.
 
 #![cfg(feature = "failpoints")]
 
@@ -31,38 +20,23 @@ use netlist::failpoints::{self, coin, Plan};
 use netlist::jit::exec::{ExecBuf, MapError};
 use netlist::jit::{self, JitError, JitOptions};
 use netlist::level::Program;
-use netlist::pool;
 use netlist::sim::Sim;
 use netlist::{
-    Builder, CompiledSim, EvalMode, JobError, JobOptions, Netlist, ProgramCache, ShardPolicy,
-    ShardedSim, SimBackend, WorkerPool,
+    Builder, CompiledSim, EvalMode, Netlist, ProgramCache, ShardPolicy, ShardedSim, SimBackend,
+    WorkerPool,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
-/// The default chaos schedule when CI does not provide one: every
-/// benign site armed at a rate that fires often within a short test.
-const DEFAULT_SCHEDULE: &str = "1:pool::worker_doze=10%@1,pool::stalled_claim=10%@1,\
-                                cache::miss=25%,cache::evict=25%,jit::emit=50%,jit::map=50%";
+/// The default chaos schedule when CI does not provide one: every site
+/// armed at a rate that fires often within a short test.
+const DEFAULT_SCHEDULE: &str = "1:cache::miss=25%,cache::evict=25%,jit::emit=50%,jit::map=50%";
 
 /// The schedule under test: `GATE_SIM_FAILPOINTS` when the CI matrix
-/// sets it, the built-in default otherwise — always stripped to the
-/// benign sites (see the module docs).
+/// sets it, the built-in default otherwise.
 fn ambient_plan() -> Plan {
-    let plan = match std::env::var("GATE_SIM_FAILPOINTS") {
+    match std::env::var("GATE_SIM_FAILPOINTS") {
         Ok(v) if !v.trim().is_empty() => Plan::parse(&v),
         _ => Plan::parse(DEFAULT_SCHEDULE),
-    };
-    benign(plan)
-}
-
-/// Drops the sites that kill a participant mid-job: a dead participant
-/// can never be bit-identical, so those sites only appear in the
-/// dedicated typed-failure tests.
-fn benign(mut plan: Plan) -> Plan {
-    plan.clauses
-        .retain(|c| c.site != "pool::worker_panic" && c.site != "pool::worker_loss");
-    plan
+    }
 }
 
 /// A deterministic random sequential circuit, seeded through the same
@@ -306,113 +280,10 @@ fn jit_compile_surfaces_typed_errors() {
     failpoints::clear();
 }
 
-/// An injected worker panic inside the job closure is a typed
-/// [`JobError::WorkerPanic`] at the submitter, and the pool serves the
-/// next job at full width.
+/// A sharded evaluator issued from inside a pool job submits a nested
+/// job and honours the same chaos contract: it stays bit-identical.
 #[test]
-fn worker_panic_chaos_is_typed_and_the_pool_recovers() {
-    let _guard = failpoints::exclusive();
-    let pool = WorkerPool::new(2);
-    failpoints::configure(Plan::parse("11:pool::worker_panic=once"));
-    let err = pool
-        .run_with(3, &JobOptions::default(), |_tid, _barrier| {})
-        .expect_err("injected panic must surface");
-    assert!(
-        err.panic_message()
-            .is_some_and(|m| m.contains("failpoint pool::worker_panic")),
-        "unexpected error: {err:?}"
-    );
-    failpoints::clear();
-    let hits = AtomicUsize::new(0);
-    pool.run(3, |_tid, _barrier| {
-        hits.fetch_add(1, Ordering::SeqCst);
-    });
-    assert_eq!(hits.load(Ordering::SeqCst), 3, "pool must recover");
-}
-
-/// A worker thread dying *outside* the closure catch (the
-/// `pool::worker_loss` site) is converted by the respawn guard into a
-/// completed claim with a synthesized payload, and a replacement worker
-/// keeps the roster at full width for the next job.
-#[test]
-fn worker_loss_chaos_respawns_a_replacement() {
-    let _guard = failpoints::exclusive();
-    let pool = WorkerPool::new(1);
-    let width = pool.worker_count();
-    failpoints::configure(Plan::parse("13:pool::worker_loss=once"));
-    let err = pool
-        .run_with(2, &JobOptions::default(), |_tid, _barrier| {})
-        .expect_err("a lost worker must surface");
-    assert!(
-        err.panic_message()
-            .is_some_and(|m| m.contains("lost during the job")),
-        "unexpected error: {err:?}"
-    );
-    failpoints::clear();
-    assert_eq!(pool.worker_count(), width, "roster width must not shrink");
-    // The replacement (spawned by the dying worker's guard) serves the
-    // next job; a generous deadline bounds the test if respawn broke.
-    let hits = AtomicUsize::new(0);
-    pool.run_with(
-        2,
-        &JobOptions::deadline(Duration::from_secs(10)),
-        |_t, _b| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        },
-    )
-    .expect("replacement worker must serve");
-    assert_eq!(hits.load(Ordering::SeqCst), 2);
-}
-
-/// A dozing roster plus a deadline: the unclaimed tid is revoked, the
-/// submitter gets the typed [`JobError::DeadlineExceeded`] with the
-/// revocation count, and the pool still serves afterwards.
-#[test]
-fn deadline_revokes_tids_a_dozing_worker_never_claims() {
-    let _guard = failpoints::exclusive();
-    let pool = WorkerPool::new(1);
-    // Warm the worker up and let it park, so the doze below lands at its
-    // wakeup (loop top) rather than racing an initial spin phase.
-    pool.run(2, |_tid, _barrier| {});
-    std::thread::sleep(Duration::from_millis(50));
-    // Belt and braces: even if the worker were mid-scan, the stalled
-    // claim delay keeps its CAS past the deadline, where the sealed
-    // claim counter rejects it.
-    failpoints::configure(Plan::parse(
-        "17:pool::worker_doze=always@500,pool::stalled_claim=always@500",
-    ));
-    let deadline = Duration::from_millis(50);
-    let err = pool
-        .run_with(2, &JobOptions::deadline(deadline), |tid, _barrier| {
-            assert_eq!(tid, 0, "the dozing worker must never run its tid");
-        })
-        .expect_err("the unclaimed tid must expire the job");
-    match err {
-        JobError::DeadlineExceeded {
-            deadline: d,
-            revoked,
-            participants,
-        } => {
-            assert_eq!(d, deadline);
-            assert_eq!(participants, 2);
-            assert_eq!(revoked, 1, "exactly the worker's tid is revoked");
-        }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-    failpoints::clear();
-    let hits = AtomicUsize::new(0);
-    pool.run(2, |_tid, _barrier| {
-        hits.fetch_add(1, Ordering::SeqCst);
-    });
-    assert_eq!(hits.load(Ordering::SeqCst), 2, "pool must recover");
-}
-
-/// The scoped fallback (taken when an evaluator runs while already
-/// inside a pool job, per [`pool::in_job`]) honours the same chaos
-/// contract: the nested sharded evaluator stays bit-identical even
-/// though it cannot use the roster.
-#[test]
-fn chaos_respects_the_in_job_escape_hatch() {
+fn nested_sharded_runs_stay_bit_identical_under_chaos() {
     let _guard = failpoints::exclusive();
     failpoints::configure(ambient_plan());
     let nl = chaos_circuit(41);
@@ -425,11 +296,10 @@ fn chaos_respects_the_in_job_escape_hatch() {
     let want = int.get_bus("out");
     let got = std::sync::Mutex::new(None);
     let outer = WorkerPool::new(1);
-    outer.run(2, |tid, _barrier| {
+    outer.run(2, |tid, _| {
         if tid != 0 {
             return;
         }
-        assert!(pool::in_job(), "the job flag gates the scoped fallback");
         let mut sharded = ShardedSim::with_policy(
             &nl,
             ShardPolicy {

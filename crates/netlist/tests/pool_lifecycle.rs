@@ -14,6 +14,7 @@
 
 use netlist::pool::{alive_workers, WorkerPool};
 use netlist::{Builder, Netlist, ShardPolicy, ShardedSim, Sim};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes the tests in this binary: each one asserts on the
@@ -182,27 +183,17 @@ fn resize_grows_in_place_and_shrink_parks_workers() {
     assert_eq!(alive_workers(), before, "last handle joins the roster");
 }
 
-/// Regression: evaluators nested *two* levels below a pool job must keep
-/// falling back to scoped threads. The chain is: a pooled `par_shards`
-/// job → a threaded `ShardedSim` evaluated inside it (falls back to
-/// scoped stealing threads, which must inherit the in-job flag) → a
-/// third threaded `ShardedSim` evaluated on those scoped threads. Before
-/// the flag was inherited by scoped fallback threads, the innermost
-/// evaluation saw a fresh thread-local, submitted to the pool, and could
-/// deadlock waiting for workers the outermost job still holds.
+/// Evaluators nested *two* levels below a pool job submit their own
+/// jobs to the same pool and compute what they compute at top level. The
+/// chain is: a `par_shards` job → a threaded `ShardedSim` evaluated
+/// inside it → a third threaded `ShardedSim` evaluated inside that one's
+/// `par_shards` job. With one outer thread the outer run is inline, so
+/// the inner simulators are top-level submissions; with two, every inner
+/// job is nested.
 #[test]
-fn nested_evaluators_fall_back_instead_of_deadlocking() {
+fn nested_evaluators_run_on_the_pool_and_match_top_level() {
     let _guard = pool_mutex();
     let nl = counter(5);
-    let mut outer = ShardedSim::with_policy(
-        &nl,
-        ShardPolicy {
-            shards: 2,
-            lanes_per_shard: 2,
-            threads: 2,
-            ..ShardPolicy::single()
-        },
-    );
     let inner_nl = counter(4);
     let two_threads = ShardPolicy {
         shards: 2,
@@ -210,41 +201,123 @@ fn nested_evaluators_fall_back_instead_of_deadlocking() {
         threads: 2,
         ..ShardPolicy::single()
     };
-    let cycles = outer.par_shards(|_, shard| {
-        let mut inner = ShardedSim::with_policy(&inner_nl, two_threads);
-        let innermost = inner.par_shards(|_, inner_shard| {
-            let mut innermost = ShardedSim::with_policy(&inner_nl, two_threads);
+    let run = |outer_threads: usize| {
+        let mut outer = ShardedSim::with_policy(
+            &nl,
+            ShardPolicy {
+                shards: 2,
+                lanes_per_shard: 2,
+                threads: outer_threads,
+                ..ShardPolicy::single()
+            },
+        );
+        outer.par_shards(|_, shard| {
+            let mut inner = ShardedSim::with_policy(&inner_nl, two_threads);
+            let innermost = inner.par_shards(|_, inner_shard| {
+                let mut innermost = ShardedSim::with_policy(&inner_nl, two_threads);
+                for _ in 0..3 {
+                    innermost.eval();
+                    innermost.step();
+                    inner_shard.eval();
+                    inner_shard.step();
+                }
+                (innermost.cycles(), innermost.get_bus_lane("count", 0))
+            });
             for _ in 0..3 {
-                innermost.eval();
-                innermost.step();
-                inner_shard.eval();
-                inner_shard.step();
+                inner.eval();
+                inner.step();
+                shard.eval();
+                shard.step();
             }
-            (innermost.cycles(), innermost.get_bus_lane("count", 0))
-        });
-        for _ in 0..3 {
-            inner.eval();
-            inner.step();
-            shard.eval();
-            shard.step();
-        }
-        (inner.cycles(), inner.get_bus_lane("count", 0), innermost)
-    });
+            (inner.cycles(), inner.get_bus_lane("count", 0), innermost)
+        })
+    };
+    let top_level = run(1);
     // Each inner sim's shards stepped 3 cycles inside its own
     // `par_shards` job and 3 more after it; every last settle published
     // the count of the cycle before it.
     let innermost = vec![(3, 2), (3, 2)];
-    assert_eq!(cycles, vec![(6, 5, innermost.clone()), (6, 5, innermost)]);
+    assert_eq!(
+        top_level,
+        vec![(6, 5, innermost.clone()), (6, 5, innermost)]
+    );
+    assert_eq!(run(2), top_level, "nested jobs diverged from top level");
+}
+
+/// A job may submit another job to the same pool from inside its
+/// closure: the nested submitter runs its own tids, so the call returns
+/// even when every worker is busy in the outer job.
+#[test]
+fn nested_pool_run_from_inside_a_job_returns() {
+    let _guard = pool_mutex();
+    let pool = WorkerPool::shared(1);
+    let hits = AtomicUsize::new(0);
+    pool.run(2, |_, _| {
+        pool.run(3, |_, _| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+    });
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        6,
+        "both nested jobs ran every tid"
+    );
+}
+
+/// With the only worker of a pool held inside a stalled job, a second job
+/// submitted from another thread completes on its submitter alone, and
+/// submitting it spawns no worker.
+#[test]
+fn a_job_completes_on_its_submitter_while_the_only_worker_is_stalled() {
+    let _guard = pool_mutex();
+    let pool = WorkerPool::new(1);
+    let census = alive_workers();
+    let gate = AtomicBool::new(false);
+    let stalled = AtomicUsize::new(0);
+    let (hits, on_submitter, census_during, workers_during) = std::thread::scope(|s| {
+        s.spawn(|| {
+            pool.run(2, |_, _| {
+                stalled.fetch_add(1, Ordering::SeqCst);
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            });
+        });
+        // Both tids are stalled: the stalled job's submitter is stuck in
+        // one, so the only worker holds the other.
+        while stalled.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        let me = std::thread::current().id();
+        let hits = AtomicUsize::new(0);
+        let on_submitter = AtomicUsize::new(0);
+        pool.run(2, |_, _| {
+            hits.fetch_add(1, Ordering::SeqCst);
+            if std::thread::current().id() == me {
+                on_submitter.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let observed = (
+            hits.into_inner(),
+            on_submitter.into_inner(),
+            alive_workers(),
+            pool.worker_count(),
+        );
+        // Release the stalled job before asserting, so a failure cannot
+        // leave the scope waiting on it forever.
+        gate.store(true, Ordering::SeqCst);
+        observed
+    });
+    assert_eq!(hits, 2, "the second job ran every tid");
+    assert_eq!(on_submitter, 2, "its submitter ran both tids");
+    assert_eq!(census_during, census, "submitting spawned no worker");
+    assert_eq!(workers_during, 1);
 }
 
 /// Multi-job admission: two threads submit independent pooled
-/// evaluations concurrently — each claims its own job-table slot and a
-/// disjoint worker subset — and every result is bit-identical to the
+/// evaluations concurrently, and every result is bit-identical to the
 /// same run serialized on one thread. Afterwards the census is back at
-/// the baseline: concurrent admission leaks neither workers nor job
-/// slots. (Before the job table, the second submitter would simply
-/// block on the pool-wide submit lock; this test pins the new protocol
-/// end to end through the public simulator API.)
+/// the baseline: concurrent submission leaks no workers.
 #[test]
 fn concurrent_admissions_are_deterministic_and_leak_free() {
     let _guard = pool_mutex();
@@ -264,7 +337,7 @@ fn concurrent_admissions_are_deterministic_and_leak_free() {
     let want_a = run(&nl_a, 37);
     let want_b = run(&nl_b, 53);
     // Now the same two workloads concurrently, from separate submitter
-    // threads, several rounds to vary slot/worker interleavings.
+    // threads, several rounds to vary worker interleavings.
     for round in 0..10 {
         let gate = std::sync::Barrier::new(2);
         let (got_a, got_b) = std::thread::scope(|s| {
@@ -288,7 +361,7 @@ fn concurrent_admissions_are_deterministic_and_leak_free() {
     assert_eq!(
         alive_workers(),
         before,
-        "concurrent admissions must not leak workers or job slots"
+        "concurrent admissions must not leak workers"
     );
 }
 

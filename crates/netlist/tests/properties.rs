@@ -678,13 +678,12 @@ proptest! {
         prop_assert_eq!(batched.toggles(), &merged[..]);
     }
 
-    /// The scoped-thread fallback — the path a sharded run takes when it
-    /// is issued from inside another pool job, where a nested submission
-    /// could starve its ancestors of workers — is bit-identical to the
-    /// same run issued at top level on the pool: per-shard results and
-    /// merged toggles.
+    /// A sharded run issued from inside a pool job submits a nested job
+    /// to the same pool, and is bit-identical to the same run issued at
+    /// top level: per-shard results and merged toggles. Every tid of the
+    /// outer job runs its own nested copy, so nested jobs also overlap.
     #[test]
-    fn scoped_fallback_matches_pooled_execution(
+    fn nested_sharded_runs_match_top_level(
         recipe in proptest::collection::vec(any::<u8>(), 6..100),
         stimuli in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
@@ -694,36 +693,26 @@ proptest! {
                 &nl,
                 ShardPolicy { shards: 4, lanes_per_shard: 2, threads: 2, ..ShardPolicy::single() },
             );
-            // Shards 0 and 1 meet here, so the two threads must each run
-            // one: whichever claimed shard 0 cannot also claim shard 1.
-            let rendezvous = std::sync::Barrier::new(2);
             let settles = sim.par_shards(|i, s| {
-                if i < 2 {
-                    rendezvous.wait();
-                }
                 for (t, &v) in stimuli.iter().enumerate() {
                     s.set_bus("in", (v as u32 + i as u32 * 31 + t as u32) & 0xff);
                     s.eval();
                     s.step();
                 }
-                (netlist::pool::in_job(), s.cycles())
+                (s.cycles(), s.get_bus_lane("out", 0))
             });
             (settles, sim.toggles().to_vec())
         };
-        let pooled = sharded_run();
+        let top_level = sharded_run();
         let outer = netlist::WorkerPool::new(1);
-        let nested = std::sync::Mutex::new(None);
+        let nested: Vec<_> = (0..2).map(|_| std::sync::Mutex::new(None)).collect();
         outer.run(2, |tid, _| {
-            if tid == 0 {
-                *nested.lock().unwrap() = Some(sharded_run());
-            }
+            *nested[tid].lock().unwrap() = Some(sharded_run());
         });
-        let nested = nested.into_inner().unwrap().expect("tid 0 ran the nested run");
-        // Both runs really ran on two threads inside a job: the pooled one
-        // as its own pool job, the nested one on scoped threads that
-        // inherited the outer job's flag.
-        prop_assert!(pooled.0.iter().chain(&nested.0).all(|&(in_job, _)| in_job));
-        prop_assert_eq!(nested, pooled, "scoped fallback diverged");
+        for (tid, run) in nested.into_iter().enumerate() {
+            let run = run.into_inner().unwrap().expect("every outer tid ran");
+            prop_assert_eq!(&run, &top_level, "nested run in tid {} diverged", tid);
+        }
     }
 
     /// Stuck-at mutation changes the gate census by at most one gate kind,
